@@ -1,5 +1,7 @@
 //! A2 bench — the paper's parallel-`hom` claim: proper applications (op
 //! associative-commutative) computed sequentially vs across threads.
+//! The parallel fold runs morsels on the workspace scheduler
+//! (`machiavelli_exec::run_tasks`); `par1` is the same fold inline.
 //! Expected shape: parallel wins once per-element work or volume is
 //! large enough to amortize thread startup; sequential wins on small
 //! sets.
@@ -36,7 +38,7 @@ fn bench_hom(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("seq", n), &data, |b, d| {
             b.iter(|| seq_hom(d, work, |a, b| a.wrapping_add(b), 0))
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             group.bench_with_input(
                 BenchmarkId::new(format!("par{threads}"), n),
                 &data,

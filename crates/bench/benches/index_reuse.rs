@@ -75,7 +75,7 @@ fn bench_index_reuse(c: &mut Criterion) {
             use machiavelli::value::tuning;
             s.store_reset();
             let prev_t = tuning::set_par_threads(Some(4));
-            let prev_probe = tuning::set_par_probe_min_rows(Some(1));
+            let prev_probe = tuning::set_par_min_rows(Some(1));
             group.bench_with_input(BenchmarkId::new("store_par4/fig9_repeat", n), &n, |b, _| {
                 b.iter(|| {
                     let prev_p = set_planner_enabled(true);
@@ -86,7 +86,7 @@ fn bench_index_reuse(c: &mut Criterion) {
                     out
                 })
             });
-            tuning::set_par_probe_min_rows(prev_probe);
+            tuning::set_par_min_rows(prev_probe);
             tuning::set_par_threads(prev_t);
         }
         run_mode(

@@ -1,21 +1,22 @@
-//! PR 4/5 bench — the parallel hash-join lanes vs the sequential
-//! planner paths, across relation sizes and worker-thread counts.
+//! The plain-keyed hash-join lane vs the sequential planner paths,
+//! across relation sizes and worker-thread counts.
 //!
 //! Two externally bound relations of `n` int-keyed rows each are
 //! equi-joined through `Session::eval_one` (parse + infer + plan +
 //! execute).
 //!
-//! The `par_join` group measures the **inline partition lane** (PR 4):
-//! the index store is disabled so every iteration really builds and
-//! probes, isolating seq vs par on the same work:
+//! The `par_join` group measures **uncached joins**: the index store is
+//! disabled so every iteration really builds and probes, isolating seq
+//! vs the plain lane on the same work:
 //!
-//! * `seq`  — parallel lane disabled (the PR 2/3 planner path);
-//! * `parK` — plain-value partition lane with K worker threads (the
-//!   join cutoff is lowered so every size engages the lane).
+//! * `seq`  — lane disabled (the `Rc`-lane planner build and probe);
+//! * `parK` — plain build keyed once on the session thread, then the
+//!   plain probe on K worker threads (the fan-out cutoff is lowered so
+//!   every size fans out); `par1` runs the same lane inline.
 //!
-//! The `cached_par_probe` group measures the **composed lane** (PR 5):
-//! store enabled and warm, so the build phase is gone entirely and the
-//! only difference is how the cached plain index is probed:
+//! The `cached_par_probe` group measures **store-served joins**: store
+//! enabled and warm, so the build phase is gone entirely and the only
+//! difference is how the cached plain index is probed:
 //!
 //! * `cached_seq`  — the sequential probe over the cached index;
 //! * `cached_parK` — K workers probing the shared `Arc` index (probe
@@ -76,9 +77,9 @@ fn run_seq(s: &mut Session) -> Value {
 
 fn run_par(s: &mut Session, threads: usize) -> Value {
     let prev_t = tuning::set_par_threads(Some(threads));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
     let out = s.eval_one(QUERY).unwrap().value;
-    tuning::set_par_join_min_build_rows(prev_rows);
+    tuning::set_par_min_rows(prev_rows);
     tuning::set_par_threads(prev_t);
     out
 }
@@ -94,18 +95,24 @@ fn bench_par_join(c: &mut Criterion) {
         // before anything is timed.
         let seq = run_seq(&mut s);
         assert_eq!(seq, Value::Bool(false), "join unexpectedly empty at n={n}");
-        tuning::reset_par_stats();
-        assert_eq!(run_par(&mut s, 4), seq, "lanes diverge at n={n}");
-        assert_eq!(
-            tuning::par_stats().par_joins,
-            1,
-            "lane not engaged at n={n}"
-        );
+        for threads in [1usize, 4] {
+            tuning::reset_par_stats();
+            assert_eq!(
+                run_par(&mut s, threads),
+                seq,
+                "lanes diverge at n={n}, {threads} threads"
+            );
+            assert_eq!(
+                tuning::par_stats().par_joins,
+                1,
+                "lane not engaged at n={n}, {threads} threads"
+            );
+        }
 
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
             b.iter(|| run_seq(&mut s))
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             group.bench_with_input(BenchmarkId::new(format!("par{threads}"), n), &n, |b, _| {
                 b.iter(|| run_par(&mut s, threads))
             });
@@ -117,13 +124,13 @@ fn bench_par_join(c: &mut Criterion) {
 
 /// Run the query with the store enabled (warm after the first call):
 /// `threads = None` is the sequential probe over the cached index,
-/// `Some(k)` the parallel cached probe with a 1-row probe cutoff.
+/// `Some(k)` the plain probe on k workers with a 1-row fan-out cutoff.
 fn run_cached(s: &mut Session, threads: Option<usize>) -> Value {
     let prev_on = tuning::set_parallel_enabled(threads.is_some());
     let prev_t = tuning::set_par_threads(threads);
-    let prev_probe = tuning::set_par_probe_min_rows(Some(1));
+    let prev_probe = tuning::set_par_min_rows(Some(1));
     let out = s.eval_one(QUERY).unwrap().value;
-    tuning::set_par_probe_min_rows(prev_probe);
+    tuning::set_par_min_rows(prev_probe);
     tuning::set_par_threads(prev_t);
     tuning::set_parallel_enabled(prev_on);
     out

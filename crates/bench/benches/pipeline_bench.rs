@@ -6,12 +6,14 @@
 //! * `fig3_columnar_scan` — the single-generator filtered scan (the
 //!   introduction's Wealthy shape at fig3 scale): `seq` runs the
 //!   sequential planner filter, `colK` offloads the pushed filter onto
-//!   K work-stealing workers over the columnar snapshot.
+//!   K work-stealing workers over the columnar snapshot (`col1` keeps
+//!   the scan sequential: the columnar lane needs more than one
+//!   worker, while joins run the plain lane inline).
 //! * `fig9_columnar_pipeline` — the two-generator equi-join with a
 //!   pushed filter on each side (the advisor/salary shape): with the
 //!   store disabled and the lane live this is the
 //!   **independent-generator schedule** — both relations filter as one
-//!   morsel batch, then build/probe run on the partition lane.
+//!   morsel batch, then the plain build and probe run on the plain lane.
 //!
 //! The store is disabled throughout so every iteration performs the
 //! full pipeline (no cached builds, no cached snapshots): the measured
@@ -67,11 +69,9 @@ fn run_seq(s: &mut Session, query: &str) -> Value {
 
 fn run_columnar(s: &mut Session, query: &str, threads: usize) -> Value {
     let prev_t = tuning::set_par_threads(Some(threads));
-    let prev_cut = tuning::set_columnar_min_rows(Some(1));
-    let prev_join = tuning::set_par_join_min_build_rows(Some(1));
+    let prev_cut = tuning::set_par_min_rows(Some(1));
     let out = s.eval_one(query).unwrap().value;
-    tuning::set_par_join_min_build_rows(prev_join);
-    tuning::set_columnar_min_rows(prev_cut);
+    tuning::set_par_min_rows(prev_cut);
     tuning::set_par_threads(prev_t);
     out
 }
@@ -103,7 +103,7 @@ fn bench_group(
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
             b.iter(|| run_seq(&mut s, query))
         });
-        for threads in [2usize, 4] {
+        for threads in [1usize, 2, 4] {
             group.bench_with_input(BenchmarkId::new(format!("col{threads}"), n), &n, |b, _| {
                 b.iter(|| run_columnar(&mut s, query, threads))
             });

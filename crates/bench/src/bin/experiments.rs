@@ -311,7 +311,7 @@ fn main() {
         );
     }
 
-    println!("\n== E13: parallel lane — partition join + par_hom folds ==");
+    println!("\n== E13: plain lane — plain-keyed join + par_hom folds ==");
     {
         use machiavelli::eval::set_planner_enabled;
         use machiavelli::value::{tuning, Value};
@@ -444,11 +444,11 @@ fn main() {
         let timed = |s: &mut Session, par: Option<usize>| {
             let prev_on = tuning::set_parallel_enabled(par.is_some());
             let prev_t = tuning::set_par_threads(par);
-            let prev_probe = tuning::set_par_probe_min_rows(Some(1));
+            let prev_probe = tuning::set_par_min_rows(Some(1));
             let t0 = std::time::Instant::now();
             let out = s.eval_one(q).unwrap().value;
             let dt = t0.elapsed();
-            tuning::set_par_probe_min_rows(prev_probe);
+            tuning::set_par_min_rows(prev_probe);
             tuning::set_par_threads(prev_t);
             tuning::set_parallel_enabled(prev_on);
             (out, dt)

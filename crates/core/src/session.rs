@@ -303,9 +303,10 @@ impl Session {
         machiavelli_value::tuning::par_threads()
     }
 
-    /// This session's parallel-lane hit/fallback counters (joins run on
-    /// the plain-value partition lane, proper `hom` folds run through
-    /// `par_hom`, and their runtime fallbacks). Behind the REPL's
+    /// This session's plain-lane hit/fallback counters (uncached joins
+    /// built and probed plain, probes of store-served plain indexes,
+    /// proper `hom` folds run through `par_hom`, and their runtime
+    /// fallbacks). Behind the REPL's
     /// `:stats` alongside the index-store counters.
     pub fn par_stats(&self) -> machiavelli_value::tuning::ParStats {
         machiavelli_value::tuning::par_stats()
@@ -965,6 +966,9 @@ mod tests {
     fn plan_of_renders_hash_join_and_fallback() {
         let s = Session::new();
         s.store_reset();
+        // Pin one worker thread so no machine-dependent `[… par n=…]`
+        // marker appears in the rendered plans.
+        let prev_threads = s.set_par_threads(Some(1));
         let tree = s
             .plan_of("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;")
             .unwrap();
@@ -989,6 +993,7 @@ mod tests {
             tree.contains("Scan x <- S filter (x.Salary > 100000)"),
             "{tree}"
         );
+        s.set_par_threads(prev_threads);
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl Cx {
                 // *Proper* applications — `op` a known associative-
                 // commutative operator with `z` its identity, `f`
                 // effect-free — are "computable in parallel" (§2):
-                // extract the set to plain data and fold it chunk-wise
+                // extract the set to plain data and fold it morsel-wise
                 // through `relational::par_hom`. `None` means the shape
                 // or data declined; the sequential fold below is exact.
                 if let Some(v) = try_par_hom(&fv, &opv, &zv, items) {
@@ -681,10 +681,10 @@ impl machiavelli_plan::EvalHook for Cx {
     }
 }
 
-/// The associative-commutative operators the parallel `hom` lane knows,
+/// The associative-commutative operators the plain `hom` lane knows,
 /// paired with their identity (`z` must equal it: `par_hom` seeds every
-/// chunk with `z`, so a non-identity seed would be folded in once per
-/// chunk).
+/// morsel with `z`, so a non-identity seed would be folded in once per
+/// morsel).
 enum ProperOp {
     /// `+` over int, z = 0.
     Sum,
@@ -696,13 +696,13 @@ enum ProperOp {
     Any,
 }
 
-/// Attempt the parallel lane for a *proper* `hom` application. `Some`
-/// is the finished fold; `None` means "not taken" (improper shape, lane
-/// disabled or single-threaded, sub-threshold input, extraction or
-/// plain-evaluation failure) and the caller must run the sequential
-/// fold — which is exact, because `f`'s body is planner-safe (pure,
-/// total), so nothing the parallel attempt evaluated can have been
-/// observable.
+/// Attempt the plain lane for a *proper* `hom` application — folded
+/// over the morsel scheduler, inline at one thread. `Some` is the
+/// finished fold; `None` means "not taken" (improper shape, lane
+/// disabled, sub-threshold input, extraction or plain-evaluation
+/// failure) and the caller must run the sequential interpreter fold —
+/// which is exact, because `f`'s body is planner-safe (pure, total), so
+/// nothing the plain attempt evaluated can have been observable.
 ///
 /// Eligible shapes are the prelude's `count`/`sum`-style folds: `op` a
 /// known associative-commutative [`BinOp`] with `z` its identity, and
@@ -730,14 +730,11 @@ fn try_par_hom(fv: &Value, opv: &Value, zv: &Value, items: &MSet) -> Option<Valu
     if !machiavelli_plan::is_safe_expr(&c.body) {
         return None;
     }
-    if !tuning::parallel_enabled()
-        || tuning::par_threads() < 2
-        || items.len() < tuning::par_hom_min_items()
-    {
+    if !tuning::parallel_enabled() || items.len() < tuning::par_min_rows() {
         return None;
     }
     // A tripped guard must surface through the sequential fold's
-    // cooperative tick — declining here keeps the parallel lane from
+    // cooperative tick — declining here keeps the plain lane from
     // computing a result the query is no longer allowed to return.
     if machiavelli_value::governor::check_current().is_some() {
         return None;
@@ -778,7 +775,7 @@ fn try_par_hom(fv: &Value, opv: &Value, zv: &Value, items: &MSet) -> Option<Valu
     let body = &c.body;
     let captured = &captured[..];
     // Per-element evaluation in the workers; a declined element poisons
-    // its chunk's partial with `None`, which the combiners propagate.
+    // its morsel's partial with `None`, which the combiners propagate.
     let apply_f = |kind_int: bool, x: &PlainValue| -> Option<PlainValue> {
         let env = PlainBindings {
             head: Some((param, x)),
@@ -1181,9 +1178,9 @@ mod tests {
     fn with_forced_parallel<R>(f: impl FnOnce() -> R) -> R {
         use machiavelli_value::tuning;
         let prev_t = tuning::set_par_threads(Some(4));
-        let prev_n = tuning::set_par_hom_min_items(Some(8));
+        let prev_n = tuning::set_par_min_rows(Some(8));
         let out = f();
-        tuning::set_par_hom_min_items(prev_n);
+        tuning::set_par_min_rows(prev_n);
         tuning::set_par_threads(prev_t);
         out
     }

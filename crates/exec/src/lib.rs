@@ -1,6 +1,7 @@
-//! **The morsel-driven execution scheduler**: the columnar lane's
-//! worker pool, shared by whole-pipeline offloads (`plan::physical`)
-//! and the partition join/probe (`plan::parallel`).
+//! **The morsel-driven execution scheduler**: the workspace's one
+//! worker pool, shared by the columnar filter offloads
+//! (`plan::physical`), the plain-keyed join probe (`plan::parallel`)
+//! and proper `hom` folds (`relational::par_hom`).
 //!
 //! PR 4's parallel shapes carved their input into one fixed chunk per
 //! worker, so a skewed filter — one chunk where every row matches, the

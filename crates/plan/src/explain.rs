@@ -9,7 +9,7 @@
 //! `HashJoin[idx build]` when the next execution will build one, and a
 //! bare `HashJoin` when the build table is environment-dependent and
 //! never cached. A cached index in **plain** form additionally renders
-//! the parallel probe the next execution can run against it —
+//! the plain probe the next execution runs against it —
 //! `HashJoin[idx cached, par n=4]` — when the lane is enabled with more
 //! than one thread and the probe keys are statically eligible. The
 //! marker is a *display-level* probe by fingerprint — rendering a plan
@@ -23,18 +23,20 @@
 //! on relation cardinalities and cannot be predicted without
 //! evaluating; it renders in the unswapped orientation.)
 //!
-//! Uncached joins that are statically eligible for the inline
-//! partition lane render `HashJoin[par n=4]` (the configured worker
-//! count) when the lane is enabled with more than one thread. Like the
-//! idx marker this is display-level: whether an execution actually
-//! parallelizes additionally depends on size cutoffs and every key
-//! extracting to plain data.
+//! Uncached joins whose build and probe keys are both statically
+//! covered render `HashJoin[par n=4]` (the configured worker count)
+//! when the lane is enabled with more than one thread: the build is
+//! keyed into a local plain table and probed on n workers. Like the idx
+//! marker this is display-level: whether the probe actually fans out
+//! additionally depends on the probe side clearing
+//! `MACHIAVELLI_PAR_MIN_ROWS` and every key extracting to plain data
+//! (at one thread the same lane runs inline and renders no marker).
 //!
 //! A scan or build side whose pushed filters are statically eligible
 //! for the **columnar morsel lane** (see the crate docs) renders
 //! `Scan[columnar par n=4]` / `Build[columnar par n=4]`. Display-level
 //! again: an actual offload additionally depends on the relation
-//! clearing `MACHIAVELLI_COLUMNAR_MIN_ROWS` and every row extracting to
+//! clearing `MACHIAVELLI_PAR_MIN_ROWS` and every row extracting to
 //! plain form. Two such scans under one join are the
 //! independent-generator schedule — both sides filter as one morsel
 //! batch.
@@ -68,7 +70,7 @@ fn live_threads() -> Option<usize> {
 }
 
 /// The `, par n=…` suffix for a cached **plain** index with eligible
-/// probe keys: the next execution probes it with parallel workers.
+/// probe keys: the next execution probes it on the plain lane.
 fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> String {
     match (kind, par, live_threads()) {
         (IndexKind::Plain, Some(_), Some(n)) => format!(", par n={n}"),
@@ -76,8 +78,8 @@ fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> String {
     }
 }
 
-/// The `[par n=…]` marker for an uncached join statically eligible for
-/// the inline partition lane (build and probe sides both covered).
+/// The `[par n=…]` marker for an uncached join whose build and probe
+/// keys are both covered: plain build, probe on n workers.
 fn par_marker(par: &Option<ParInfo>) -> String {
     if par.as_ref().is_some_and(|i| i.build_ok) {
         if let Some(n) = live_threads() {

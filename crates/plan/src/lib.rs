@@ -89,46 +89,42 @@
 //! proves the extraction step itself is unobservable. What
 //! parallelizes, and what falls back:
 //!
-//! * **Uncached hash joins** whose build keys and pushed filters are
-//!   [`parallel::par_evaluable`] under the build binder and whose probe
-//!   keys are `par_evaluable` under the earlier binders (binder-closed
-//!   planner-safe expressions minus `con`) are statically eligible for
-//!   the inline partition lane (`PhysOp::HashJoin { par }` with
-//!   `build_ok`, rendered `HashJoin[par n=…]`). At open time the join
-//!   actually fans out only when the plain lane is enabled with more
-//!   than one worker thread ([`machiavelli_value::tuning`]), the build
-//!   table is **not** served by the index store, the build side clears
-//!   [`machiavelli_value::tuning::par_join_min_build_rows`], and every
-//!   key value extracts via [`machiavelli_value::to_plain`]
-//!   (identity-bearing keys — refs, dynamics — cannot cross the lane).
-//!   Both sides are keyed sequentially by [`parallel::safe_eval`] (a
-//!   direct-dispatch safe-class evaluator, no interpreter overhead);
-//!   only the extracted key tuples cross into the scoped worker
-//!   threads, which partition, group and probe them, returning match
-//!   *indices*; the original `Rc` rows are re-bound by index on the
-//!   session thread, so the yielded binding sequence — probe-major,
-//!   build groups in canonical source order — is identical to the
-//!   sequential probe, and the result expression still evaluates
-//!   sequentially for exactly the same bindings in the same order.
-//!   Materializing the probe side is memory-capped at
+//! * **Every equi-join with covered keys runs one build and one
+//!   probe.** A hash join whose probe keys are
+//!   [`parallel::par_evaluable`] under the earlier binders
+//!   (binder-closed planner-safe expressions minus `con`) carries
+//!   `PhysOp::HashJoin { par }`. Its build table is plain in one of two
+//!   ways. An **uncached** build whose keys and pushed filters are also
+//!   covered under the build binder (`build_ok`, rendered
+//!   `HashJoin[par n=…]` at more than one thread: plain build, probe on
+//!   n workers) is keyed once on the session thread by
+//!   [`parallel::safe_eval`] (a direct-dispatch safe-class evaluator,
+//!   no interpreter overhead) and [`parallel::extract_key`] into a
+//!   local `PlainIndex` ([`parallel::build_plain_index`]) — any size
+//!   qualifies. A **store-served** build is one whenever the store
+//!   re-represented its relation in plain form (`Send + Sync`; rendered
+//!   `HashJoin[idx cached, par n=…]`). Either table goes through the
+//!   same probe: the probe side's keys are extracted on the session
+//!   thread, looked up by [`parallel::probe_plain`] — over the morsel
+//!   scheduler ([`machiavelli_exec::run_tasks`]) when more than one
+//!   worker is configured and the probe side clears
+//!   [`machiavelli_value::tuning::par_min_rows`], inline otherwise —
+//!   and matches return as build-row *indices*. The original `Rc` rows
+//!   are re-bound by index on the session thread, so the yielded
+//!   binding sequence — probe-major, build groups in canonical source
+//!   order — is identical to the sequential probe, and the result
+//!   expression still evaluates sequentially for exactly the same
+//!   bindings in the same order. At open time the lane must be enabled
+//!   ([`machiavelli_value::tuning::parallel_enabled`]) and every key
+//!   value must extract via [`machiavelli_value::to_plain`]
+//!   (identity-bearing keys — refs, dynamics — cannot cross the lane):
+//!   a build-side decline rebuilds on the `Rc` lane, a probe-side
+//!   decline probes the plain table sequentially. Materializing a
+//!   general probe pipeline is memory-capped at
 //!   [`machiavelli_value::tuning::par_join_max_probe_rows`]; past the
 //!   cap the join reverts to the streaming sequential probe over the
-//!   drained prefix plus the live remainder.
-//! * **Store-served hash joins compose with the lane** instead of
-//!   excluding it: when the index store answers a fingerprinted build
-//!   with a **plain** entry (`machiavelli_value::PlainIndex` — the
-//!   store re-represents every fully-extractable relation this way, so
-//!   a cached index is `Send + Sync`), and the probe keys are
-//!   `par_evaluable`, the executor drains the probe side (same memory
-//!   cap), extracts the keys sequentially, and fans only the extracted
-//!   tuples out over scoped workers that probe the *shared* cached
-//!   index ([`parallel::par_probe_cached`]) — no build work at all,
-//!   matches return as indices, binding order identical to the
-//!   sequential cached probe. Gated by
-//!   [`machiavelli_value::tuning::par_probe_min_rows`] (its own cutoff:
-//!   there is no build to amortize). Relations with no plain form stay
-//!   on the `Rc`-lane entry, probed sequentially. Rendered
-//!   `HashJoin[idx cached, par n=…]`.
+//!   drained prefix plus the live remainder. Relations with no plain
+//!   form stay on the `Rc`-lane entry, probed sequentially.
 //! * **Index-aware build-side selection**: a two-generator equi-join
 //!   over a bare first `Scan` may *swap* its build side at open time —
 //!   preferring the side that already holds a live cached index, or the
@@ -156,15 +152,16 @@
 //!   runs [`parallel::plain_eval`] per row. Only the surviving row
 //!   *indices* return; the session thread rebuilds a canonical
 //!   filterless scan from them (an ascending subset of a canonical
-//!   slice), which is exactly the shape the cached parallel probe fast
-//!   path keys from — so a Scan→Filter→HashJoin pipeline runs
+//!   slice), which is exactly the shape the plain probe's fast path
+//!   keys from — so a Scan→Filter→HashJoin pipeline runs
 //!   end-to-end on worker threads, with only binding and the result
 //!   expression sequential. **Independent generators** — a
 //!   two-generator join where both sides' filters are eligible and the
 //!   build is not already cached — filter both relations as *one*
 //!   morsel batch over the shared pool, no barrier between the scans.
-//!   Gated by [`machiavelli_value::tuning::columnar_min_rows`] rows and
-//!   the usual lane switches; any decline (a row with no plain form, a
+//!   Gated by more than one worker thread,
+//!   [`machiavelli_value::tuning::par_min_rows`] rows and the usual lane
+//!   switches; any decline (a row with no plain form, a
 //!   strict conjunct evaluating non-boolean, env-dependent predicates)
 //!   falls back to the sequential filter with zero behavior change —
 //!   pushed filters are planner-safe, so the sequential re-run raises
@@ -173,20 +170,23 @@
 //!   [`machiavelli_value::tuning::exec_stats`].
 //! * **Proper `hom` applications** (the evaluator's side of the lane):
 //!   `op` one of `+`, `*`, `andalso`, `orelse` with `z` its identity,
-//!   and `f` a one-parameter closure whose body is planner-safe. The
-//!   set and `f`'s captured bindings are extracted to plain data and
-//!   folded chunk-wise through `machiavelli_relational::par_hom`.
+//!   and `f` a one-parameter closure whose body is planner-safe, over a
+//!   set of at least [`machiavelli_value::tuning::par_min_rows`]
+//!   elements. The set and `f`'s captured bindings are extracted to
+//!   plain data and folded morsel by morsel through
+//!   `machiavelli_relational::par_hom` on the same scheduler (inline at
+//!   one thread).
 //! * **Everything else falls back sequentially with zero behavior
 //!   change**: any value that fails `to_plain` (references, dynamics,
 //!   closures — identity- or code-bearing data), any expression the
-//!   plain mini-evaluator declines, sub-threshold inputs, a disabled or
-//!   single-threaded lane. The fallback is exact because everything the
+//!   plain mini-evaluator declines, a sub-threshold `hom` or columnar
+//!   scan, a disabled lane. The fallback is exact because everything the
 //!   parallel attempt may have evaluated early (probe-side pipeline
 //!   rows, pushed filters, keys) is planner-safe — pure, total,
 //!   terminating — so re-running it sequentially reproduces the same
 //!   bindings and the same first error. Hits and fallbacks are counted
 //!   per session ([`machiavelli_value::tuning::par_stats`], REPL
-//!   `:stats`), cached-probe outcomes separately from inline-lane ones.
+//!   `:stats`), store-served probes separately from uncached joins.
 
 pub mod analysis;
 pub mod explain;
@@ -197,7 +197,7 @@ pub mod physical;
 pub use analysis::{closed_under, find_select, is_safe_expr, mentions_any, split_conjuncts};
 pub use explain::explain;
 pub use logical::{compile, LogicalPlan, Step, Unplannable};
-pub use parallel::{expr_vars, par_evaluable, par_probe_cached, plain_eval, PlainBindings};
+pub use parallel::{expr_vars, par_evaluable, plain_eval, PlainBindings};
 pub use physical::{
     columnar_eligible, execute, EvalHook, ExecError, IndexKey, ParInfo, PhysOp, PhysicalPlan,
     SwapInfo,

@@ -1,6 +1,6 @@
 //! The **plain-data parallel lane**: a mini-evaluator over
 //! [`PlainValue`] for the planner-safe expression class, and the
-//! partition-parallel hash-join driver built on it.
+//! plain-keyed hash join built on it.
 //!
 //! # Why a second evaluator is sound here
 //!
@@ -19,21 +19,18 @@
 //! lane can therefore be wrong about *nothing*: it either agrees or
 //! steps aside.
 //!
-//! # The partition join
+//! # The plain-keyed join
 //!
-//! The executor keys both sides **sequentially** on the `Rc` lane —
+//! Every equi-join whose keys the lane covers runs **one build and one
+//! probe**. An uncached build is keyed once on the session thread —
 //! [`safe_eval`], a direct-dispatch evaluator with none of the
-//! interpreter's environment allocation or depth accounting — and
-//! extracts only the resulting **key tuples** to plain data
-//! ([`PlainKey`]). [`par_partition_join`] then fans the pre-keyed
-//! sides out over `n_threads` scoped workers:
-//!
-//! 1. **partition-build** — worker *t* owns hash partition *t* and
-//!    builds its table from the keyed build rows in index order, so
-//!    each group's indices ascend (= build-source canonical order,
-//!    matching the sequential build);
-//! 2. **probe** — contiguous probe chunks look up the owning partition
-//!    per row and emit each group's index list.
+//! interpreter's environment allocation or depth accounting, then
+//! [`extract_key`] — into a local [`PlainIndex`]
+//! ([`build_plain_index`]); a store-served build is already one. The
+//! probe side is keyed the same way, and [`probe_plain`] looks the
+//! extracted keys up morsel by morsel on the work-stealing scheduler
+//! ([`machiavelli_exec::run_tasks`]) — or inline, when one thread is
+//! configured or the probe is below the fan-out cutoff.
 //!
 //! Rows themselves never cross a thread (and are never deep-copied):
 //! the result is, per probe row, the **indices** of matching build
@@ -43,10 +40,11 @@
 //! run infallible data plumbing only. Each such dynamic fallback is
 //! additionally reported as a typed
 //! `machiavelli_trace::DeclineReason` by the callers in `physical.rs`
-//! (`par-join-*`, `par-probe-*` codes), so `:analyze`, `:stats`, and
-//! the server's `METRICS` exposition can say *why* a join stayed
-//! sequential — see `docs/OBSERVABILITY.md`.
+//! (`par-join-build-extract`, `par-probe-*` codes), so `:analyze`,
+//! `:stats`, and the server's `METRICS` exposition can say *why* a join
+//! stayed sequential — see `docs/OBSERVABILITY.md`.
 
+use crate::analysis::Conjunct;
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, UnOp};
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_value::faults::{self, FaultConfig};
@@ -55,9 +53,6 @@ use machiavelli_value::plain::{plain_cmp, plain_eq, to_plain, PlainIndex, PlainK
 use machiavelli_value::set::MSet;
 use machiavelli_value::value::{value_eq, Fields, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 // --- the plain expression class --------------------------------------------
@@ -470,13 +465,7 @@ fn safe_binop(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     })
 }
 
-// --- the partition join ----------------------------------------------------
-
-fn key_hash(key: &PlainKey) -> u64 {
-    let mut h = DefaultHasher::new();
-    std::hash::Hash::hash(key, &mut h);
-    h.finish()
-}
+// --- plain keying ---------------------------------------------------------
 
 /// Is `e` a bare binder/field chain (`x`, `x.K`, `x.A.B`)? Such keys —
 /// the common equi-join shape — resolve by reference, skipping the
@@ -526,72 +515,6 @@ pub fn extract_key(keys: &[&Expr], env: &ValueBindings<'_>) -> Option<PlainKey> 
         .map(PlainKey::Tuple)
 }
 
-/// One keyed row: precomputed hash, extracted key, original row index.
-pub struct Keyed {
-    hash: u64,
-    key: PlainKey,
-    idx: u32,
-}
-
-impl Keyed {
-    pub fn new(key: PlainKey, idx: usize) -> Keyed {
-        Keyed {
-            hash: key_hash(&key),
-            key,
-            idx: idx as u32,
-        }
-    }
-}
-
-/// Hash-table key wrapper reusing the precomputed hash (the partition
-/// tables never rehash key structure).
-struct HashedKey<'a> {
-    hash: u64,
-    key: &'a PlainKey,
-}
-
-impl std::hash::Hash for HashedKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-impl PartialEq for HashedKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-impl Eq for HashedKey<'_> {}
-
-/// Pass-through hasher for the partition tables: the key already
-/// carries a high-quality SipHash ([`key_hash`]), so re-hashing the
-/// 8-byte digest per insert/probe would be pure overhead.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("partition keys hash via write_u64 only");
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
-type PartitionTable<'a> = HashMap<HashedKey<'a>, Vec<u32>, IdBuild>;
-
-/// Which partition owns a key. Uses the **high** hash bits so partition
-/// selection and the table's bucket selection (hashbrown reads the low
-/// bits of the pass-through [`IdHasher`] digest) draw on independent
-/// bits — `hash % nt` would pin the low bits of every key in a
-/// partition, leaving only 1/nt of each table's buckets addressable.
-fn partition_of(hash: u64, nt: usize) -> usize {
-    ((hash >> 32) as usize) % nt
-}
-
 /// Every this many rows a worker chunk loop polls the query guard, so
 /// cancellation and deadlines reach into a running fan-out instead of
 /// waiting for it to drain. A power of two so the gate is a mask.
@@ -624,7 +547,7 @@ impl WorkerCx {
     /// Worker-side entry: install the fault config on this thread and
     /// run the injected-panic fail point. (Panics cross the scope join
     /// and are trapped by the coordinator's `catch_unwind` in
-    /// `physical.rs` — the `par_hom` catch-and-report discipline.)
+    /// `physical.rs`.)
     pub(crate) fn enter(&self) {
         if let Some(cfg) = self.faults {
             faults::set_fault_config(Some(cfg));
@@ -638,121 +561,63 @@ impl WorkerCx {
     }
 }
 
-/// Build one partition's table from its bucket (index order, so group
-/// index lists ascend = build-source canonical order).
-fn build_partition_table<'k>(bucket: &[&'k Keyed], cx: &WorkerCx) -> PartitionTable<'k> {
-    let mut table = PartitionTable::with_capacity_and_hasher(bucket.len(), IdBuild::default());
-    for (i, k) in bucket.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
+/// Key an uncached build side into a local plain table on the session
+/// thread: pushed filters prune rows (through [`safe_eval`]), survivors
+/// are keyed by [`extract_key`], and groups hold ascending row indices
+/// (= build-source canonical order, matching the sequential build).
+/// When `keep` is given the columnar lane already ran the filters and
+/// only those rows are keyed. `None` on any decline — a filter or key
+/// the safe evaluator declines, a strict filter evaluating non-boolean
+/// (the sequential build raises it), an identity-bearing key — and the
+/// caller rebuilds on the `Rc` lane.
+pub fn build_plain_index(
+    items: &MSet,
+    var: Symbol,
+    filters: &[Conjunct<'_>],
+    build_keys: &[&Expr],
+    keep: Option<&[u32]>,
+) -> Option<PlainIndex> {
+    let rows = items.as_slice();
+    let key_row = |i: usize| {
+        let env = ValueBindings {
+            head: Some((var, &rows[i])),
+            rest: &[],
+        };
+        extract_key(build_keys, &env)
+    };
+    let mut index = PlainIndex::local(keep.map_or(rows.len(), <[u32]>::len));
+    match keep {
+        Some(keep) => {
+            for &i in keep {
+                index.push(key_row(i as usize)?, i);
+            }
         }
-        table
-            .entry(HashedKey {
-                hash: k.hash,
-                key: &k.key,
-            })
-            .or_default()
-            .push(k.idx);
-    }
-    table
-}
-
-/// Probe one contiguous chunk against the partition tables.
-fn probe_partition_chunk(
-    chunk: &[Keyed],
-    tables: &[PartitionTable<'_>],
-    cx: &WorkerCx,
-) -> Vec<Vec<u32>> {
-    let nt = tables.len();
-    let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
-    for (i, k) in chunk.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
+        None => {
+            'rows: for (i, row) in rows.iter().enumerate() {
+                let env = ValueBindings {
+                    head: Some((var, row)),
+                    rest: &[],
+                };
+                for c in filters {
+                    match safe_eval(c.expr, &env) {
+                        Some(Value::Bool(true)) => {}
+                        Some(Value::Bool(false)) => continue 'rows,
+                        // A lenient (syntactically last) conjunct
+                        // rejects the row on a non-boolean, like the
+                        // sequential `check`; a strict one would error.
+                        Some(_) if !c.strict => continue 'rows,
+                        _ => return None,
+                    }
+                }
+                index.push(key_row(i)?, i as u32);
+            }
         }
-        let table = &tables[partition_of(k.hash, nt)];
-        out.push(
-            table
-                .get(&HashedKey {
-                    hash: k.hash,
-                    key: &k.key,
-                })
-                .cloned()
-                .unwrap_or_default(),
-        );
     }
-    out
+    Some(index)
 }
 
-/// Partition-parallel hash join over pre-keyed sides. Returns, per
-/// probe row, the indices of matching build rows in build-source order.
-/// Infallible: both sides were keyed (and every failure mode surfaced)
-/// before the fan-out, so the workers are pure data plumbing —
-/// partition, group, look up.
-///
-/// Both phases run on the **morsel scheduler**
-/// ([`machiavelli_exec::run_tasks`]): phase 1 is one task per hash
-/// partition, phase 2 cuts the probe side into fixed-size morsels
-/// pulled via work stealing, so a skewed probe (one range where every
-/// key matches a huge group, the rest cheap) no longer serializes on
-/// the unluckiest fixed chunk. A denied worker spawn (OS or injected
-/// fault) leaves its seeded tasks to the surviving workers' stealers —
-/// down to the coordinator draining everything inline.
-///
-/// Two caveats the caller (`physical.rs`) owns: a worker panic —
-/// injected or real — resumes on the coordinator and must be trapped
-/// with `catch_unwind`; and under a tripped [`QueryGuard`] workers bail
-/// early with a **truncated** result, so the caller must re-check the
-/// sticky guard after the call and error instead of using it.
-pub fn par_partition_join(build: &[Keyed], probe: &[Keyed], n_threads: usize) -> Vec<Vec<u32>> {
-    let nt = n_threads.max(1);
-    let cx = WorkerCx::capture();
-    let cx = &cx;
-
-    // Pre-bucket the build side by owning partition in one sequential
-    // pass (a branch and a pointer push per row), so each worker
-    // consumes exactly its rows instead of all of them re-scanning the
-    // whole side. Buckets preserve index order, so group index lists
-    // ascend (build-source canonical order, same as the sequential
-    // build).
-    let mut buckets: Vec<Vec<&Keyed>> = (0..nt)
-        .map(|_| Vec::with_capacity(build.len() / nt + 1))
-        .collect();
-    for k in build {
-        buckets[partition_of(k.hash, nt)].push(k);
-    }
-
-    // Phase 1: build the partition tables, one task per partition
-    // (results come back in task = partition order).
-    let (tables, _) = machiavelli_exec::run_tasks(
-        nt,
-        buckets,
-        || cx.enter(),
-        |_, bucket: Vec<&Keyed>| build_partition_table(&bucket, cx),
-    );
-
-    // Phase 2: probe by morsel, any worker reading whichever partition
-    // owns each row's hash. Morsel results concatenate in range order,
-    // so the match list stays in probe order.
-    let tables = &tables;
-    let (probed, _) = machiavelli_exec::run_tasks(
-        nt,
-        machiavelli_exec::morsels(probe.len()),
-        || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| probe_partition_chunk(&probe[m.start..m.end], tables, cx),
-    );
-
-    let mut matches = Vec::with_capacity(probe.len());
-    for chunk in probed {
-        matches.extend(chunk);
-    }
-    matches
-}
-
-// --- the cached-index parallel probe ----------------------------------------
-
-/// Probe one contiguous chunk of extracted keys against a shared plain
-/// index.
-fn probe_cached_chunk(index: &PlainIndex, chunk: &[PlainKey], cx: &WorkerCx) -> Vec<Vec<u32>> {
+/// Probe one contiguous chunk of extracted keys against a plain index.
+fn probe_chunk(index: &PlainIndex, chunk: &[PlainKey], cx: &WorkerCx) -> Vec<Vec<u32>> {
     let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
     for (i, k) in chunk.iter().enumerate() {
         if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
@@ -763,33 +628,36 @@ fn probe_cached_chunk(index: &PlainIndex, chunk: &[PlainKey], cx: &WorkerCx) -> 
     out
 }
 
-/// Partition-parallel probe over a **cached** plain index: the build
-/// phase already happened (possibly in an earlier evaluation — that is
-/// the whole point), so the fan-out is probe-only. The index is
-/// `Send + Sync` ([`PlainIndex`]); workers share it by reference and
-/// probe **morsels** of the pre-extracted probe keys pulled via work
-/// stealing ([`machiavelli_exec::run_tasks`]), returning per probe row
-/// the **indices** of matching build rows in build-source order (group
-/// lists ascend by construction). Morsel results concatenate in range
-/// order, so the caller's re-binding sequence is identical to the
-/// sequential cached probe. Infallible for the same reason as
-/// [`par_partition_join`]: every failure mode (a key that declines
-/// extraction) surfaced before the fan-out, and denied worker spawns
-/// leave their tasks to the survivors' stealers. The same caveats
-/// apply — worker panics resume on the coordinator (trap with
-/// `catch_unwind`), and a tripped guard truncates (re-check after the
-/// call).
-pub fn par_probe_cached(index: &PlainIndex, probe: &[PlainKey], n_threads: usize) -> Vec<Vec<u32>> {
-    let nt = n_threads.max(1);
+/// Probe a plain index — store-served, or an uncached join's local
+/// table — with pre-extracted keys, returning per probe row the
+/// **indices** of matching build rows in build-source order (group
+/// lists ascend by construction). With `n_threads > 1` the keys are cut
+/// into **morsels** pulled via work stealing
+/// ([`machiavelli_exec::run_tasks`]; the index is `Send + Sync` and
+/// shared by reference); at one thread the same chunk loop runs inline.
+/// Morsel results concatenate in range order, so the caller's
+/// re-binding sequence is identical to the sequential probe.
+///
+/// Infallible: every failure mode (a key that declines extraction)
+/// surfaced before the call, and denied worker spawns leave their tasks
+/// to the survivors' stealers. Two caveats the caller (`physical.rs`)
+/// owns: a worker panic — injected or real — resumes on the coordinator
+/// and must be trapped with `catch_unwind`; and under a tripped
+/// [`QueryGuard`] the loop bails early with a **truncated** result, so
+/// the caller must re-check the sticky guard after the call and error
+/// instead of using it.
+pub fn probe_plain(index: &PlainIndex, probe: &[PlainKey], n_threads: usize) -> Vec<Vec<u32>> {
     let cx = WorkerCx::capture();
+    if n_threads <= 1 {
+        return probe_chunk(index, probe, &cx);
+    }
     let cx = &cx;
     let (probed, _) = machiavelli_exec::run_tasks(
-        nt,
+        n_threads,
         machiavelli_exec::morsels(probe.len()),
         || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| probe_cached_chunk(index, &probe[m.start..m.end], cx),
+        |_, m: machiavelli_exec::Morsel| probe_chunk(index, &probe[m.start..m.end], cx),
     );
-
     let mut matches = Vec::with_capacity(probe.len());
     for chunk in probed {
         matches.extend(chunk);
@@ -909,22 +777,6 @@ mod tests {
         assert_eq!(ev("x.K div 2"), None);
     }
 
-    /// Key a side of ints by `<var>.K` (the production extraction path).
-    fn keyed_by_k(rows: &[Value], var: &str) -> Vec<Keyed> {
-        let var = Symbol::intern(var);
-        let key = parse_expr(&format!("{var}.K")).unwrap();
-        rows.iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let env = ValueBindings {
-                    head: Some((var, row)),
-                    rest: &[],
-                };
-                Keyed::new(extract_key(&[&key], &env).unwrap(), i)
-            })
-            .collect()
-    }
-
     fn row_k(k: i64, a: i64) -> Value {
         Value::record([
             (Symbol::intern("K"), Value::Int(k)),
@@ -932,21 +784,66 @@ mod tests {
         ])
     }
 
+    /// Probe keys `y.K` extracted through the production path.
+    fn probe_keys(ks: &[i64]) -> Vec<PlainKey> {
+        let key = parse_expr("y.K").unwrap();
+        ks.iter()
+            .map(|&k| {
+                let row = row_k(k, 0);
+                let env = ValueBindings {
+                    head: Some((Symbol::intern("y"), &row)),
+                    rest: &[],
+                };
+                extract_key(&[&key], &env).unwrap()
+            })
+            .collect()
+    }
+
+    /// Build rows K = 1, 2, 2, 9 keyed by `x.K` into a local table.
+    fn local_table() -> PlainIndex {
+        let build = MSet::from_iter(
+            [1, 2, 2, 9]
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| row_k(k, i as i64)),
+        );
+        let key = parse_expr("x.K").unwrap();
+        build_plain_index(&build, Symbol::intern("x"), &[], &[&key], None).unwrap()
+    }
+
     #[test]
-    fn partition_join_matches_expected_groups() {
-        // build rows: K = 1, 2, 2, 9 — probe for K = 2, 5, 1.
-        let build: Vec<Value> = [1, 2, 2, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| row_k(k, i as i64))
-            .collect();
-        let probe: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
-        let build_keyed = keyed_by_k(&build, "x");
-        let probe_keyed = keyed_by_k(&probe, "y");
+    fn plain_join_matches_expected_groups() {
+        let index = local_table();
+        let probe = probe_keys(&[2, 5, 1]);
         for threads in [1, 2, 4, 8] {
-            let m = par_partition_join(&build_keyed, &probe_keyed, threads);
+            let m = probe_plain(&index, &probe, threads);
             assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "threads={threads}");
         }
+    }
+
+    #[test]
+    fn build_filters_and_keep_prune_the_local_table() {
+        let build = MSet::from_iter((0..6).map(|i| row_k(i % 2, i)));
+        let x = Symbol::intern("x");
+        let key = parse_expr("x.K").unwrap();
+        let filter = parse_expr("x.A > 1").unwrap();
+        let filters = [Conjunct {
+            expr: &filter,
+            strict: false,
+        }];
+        let index = build_plain_index(&build, x, &filters, &[&key], None).unwrap();
+        let one = probe_keys(&[1]);
+        assert_eq!(probe_plain(&index, &one, 1), vec![vec![3, 5]]);
+        // A columnar survivor list replaces the filters.
+        let index = build_plain_index(&build, x, &filters, &[&key], Some(&[1])).unwrap();
+        assert_eq!(probe_plain(&index, &one, 1), vec![vec![1]]);
+        // A strict filter evaluating non-boolean declines (the
+        // sequential build raises it).
+        let strict = [Conjunct {
+            expr: &key,
+            strict: true,
+        }];
+        assert!(build_plain_index(&build, x, &strict, &[&key], None).is_none());
     }
 
     #[test]
@@ -962,57 +859,45 @@ mod tests {
         };
         let key = parse_expr("x.K").unwrap();
         assert!(extract_key(&[&key], &env).is_none());
+        let build = MSet::from_iter([row]);
+        assert!(build_plain_index(&build, Symbol::intern("x"), &[], &[&key], None).is_none());
     }
 
     #[test]
     fn empty_sides_are_fine() {
-        assert_eq!(par_partition_join(&[], &[], 4), Vec::<Vec<u32>>::new());
-        let probe = keyed_by_k(&[row_k(1, 0)], "y");
-        assert_eq!(par_partition_join(&[], &probe, 4), vec![Vec::<u32>::new()]);
+        let empty = MSet::from_iter(Vec::<Value>::new());
+        let key = parse_expr("x.K").unwrap();
+        let index = build_plain_index(&empty, Symbol::intern("x"), &[], &[&key], None).unwrap();
+        assert!(index.is_empty());
+        assert_eq!(probe_plain(&index, &[], 4), Vec::<Vec<u32>>::new());
+        assert_eq!(
+            probe_plain(&index, &probe_keys(&[1]), 4),
+            vec![Vec::<u32>::new()]
+        );
     }
 
     #[test]
-    fn cached_probe_matches_sequential_lookup() {
-        // Index: rows with K = 1, 2, 2, 9 grouped by K.
-        let rows: Vec<Value> = [1, 2, 2, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| row_k(k, i as i64))
-            .collect();
-        let mut groups: Vec<(PlainKey, Vec<u32>)> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let Value::Record(fs) = row else { panic!() };
-            let k = PlainKey::One(to_plain(fs.get("K").unwrap()).unwrap());
-            match groups.iter_mut().find(|(g, _)| *g == k) {
-                Some((_, idxs)) => idxs.push(i as u32),
-                None => groups.push((k, vec![i as u32])),
-            }
-        }
+    fn store_shaped_index_probes_like_a_local_table() {
+        // The same grouping assembled the way the store does (with a
+        // row snapshot) answers exactly like the local table.
+        let rows: Vec<PlainValue> = [1, 2, 2, 9].iter().map(|&k| PlainValue::Int(k)).collect();
         let index = PlainIndex::from_groups(
-            rows.iter()
-                .map(|r| to_plain(r).unwrap())
-                .collect::<Vec<_>>()
-                .into(),
-            groups,
+            rows.into(),
+            [
+                (PlainKey::One(PlainValue::Int(1)), vec![0]),
+                (PlainKey::One(PlainValue::Int(2)), vec![1, 2]),
+                (PlainKey::One(PlainValue::Int(9)), vec![3]),
+            ],
         );
-        // Probe keys extracted through the production path.
-        let key = parse_expr("y.K").unwrap();
-        let probe: Vec<PlainKey> = [2i64, 5, 1]
-            .iter()
-            .map(|&k| {
-                let row = row_k(k, 0);
-                let env = ValueBindings {
-                    head: Some((Symbol::intern("y"), &row)),
-                    rest: &[],
-                };
-                extract_key(&[&key], &env).unwrap()
-            })
-            .collect();
+        let probe = probe_keys(&[2, 5, 1]);
+        let local = local_table();
         for threads in [1, 2, 4, 8] {
-            let m = par_probe_cached(&index, &probe, threads);
-            assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "threads={threads}");
+            assert_eq!(
+                probe_plain(&index, &probe, threads),
+                probe_plain(&local, &probe, threads),
+                "threads={threads}"
+            );
         }
-        assert_eq!(par_probe_cached(&index, &[], 4), Vec::<Vec<u32>>::new());
     }
 
     /// Run `f` with a fault config installed on this thread (workers
@@ -1027,60 +912,47 @@ mod tests {
     #[test]
     fn injected_worker_panic_resumes_on_the_coordinator() {
         // A panic on a fan-out worker must reach the caller as a
-        // catchable unwind with the original payload — the same
-        // catch-and-report contract `par_hom` documents — so the
-        // driver in `physical.rs` can turn it into a structured
+        // catchable unwind with the original payload, so the driver in
+        // `physical.rs` can turn it into a structured
         // `ExecError::WorkerPanic` instead of aborting the process.
-        let build = keyed_by_k(&[row_k(1, 0), row_k(2, 1)], "x");
-        let probe = keyed_by_k(&[row_k(2, 0)], "y");
+        let index = local_table();
+        let probe = probe_keys(&[2]);
         let cfg = FaultConfig {
             worker_panic_ppm: 1_000_000,
             seed: 11,
             ..FaultConfig::off()
         };
-        for caller in ["partition_join", "probe_cached"] {
-            let caught = with_faults(cfg, || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match caller {
-                    "partition_join" => par_partition_join(&build, &probe, 4),
-                    _ => {
-                        let rows: Arc<[PlainValue]> = vec![PlainValue::Int(1)].into();
-                        let index = PlainIndex::from_groups(
-                            rows,
-                            vec![(PlainKey::One(PlainValue::Int(1)), vec![0])],
-                        );
-                        par_probe_cached(&index, &[PlainKey::One(PlainValue::Int(1))], 4)
-                    }
-                }))
-            });
-            let payload = caught.expect_err("worker panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                msg.contains(machiavelli_value::faults::INJECTED_PANIC_PREFIX),
-                "{caller}: original payload survives: {msg:?}"
-            );
-        }
+        let caught = with_faults(cfg, || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                probe_plain(&index, &probe, 4)
+            }))
+        });
+        let payload = caught.expect_err("worker panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains(machiavelli_value::faults::INJECTED_PANIC_PREFIX),
+            "original payload survives: {msg:?}"
+        );
     }
 
     #[test]
     fn injected_spawn_denial_degrades_to_inline_with_identical_results() {
-        let build: Vec<Value> = [1, 2, 2, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| row_k(k, i as i64))
-            .collect();
-        let probe: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
-        let build_keyed = keyed_by_k(&build, "x");
-        let probe_keyed = keyed_by_k(&probe, "y");
+        let index = local_table();
+        let probe = probe_keys(&[2, 5, 1]);
         let cfg = FaultConfig {
             spawn_fail_ppm: 1_000_000,
             seed: 5,
             ..FaultConfig::off()
         };
         machiavelli_value::faults::reset_injected_faults();
-        let m = with_faults(cfg, || par_partition_join(&build_keyed, &probe_keyed, 4));
+        // One-row morsels, so the probe is several tasks and the
+        // scheduler actually asks for workers.
+        let prev = machiavelli_value::tuning::set_morsel_rows(Some(1));
+        let m = with_faults(cfg, || probe_plain(&index, &probe, 4));
+        machiavelli_value::tuning::set_morsel_rows(prev);
         assert_eq!(
             m,
             vec![vec![1, 2], vec![], vec![0]],

@@ -43,8 +43,8 @@
 use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
 use crate::parallel::{
-    extract_key, par_evaluable, par_partition_join, par_probe_cached, plain_binop, plain_eval,
-    safe_eval, Keyed, PlainBindings, ValueBindings, WorkerCx, CHUNK_TICK_MASK,
+    build_plain_index, extract_key, par_evaluable, plain_binop, plain_eval, probe_plain,
+    PlainBindings, ValueBindings, WorkerCx, CHUNK_TICK_MASK,
 };
 use machiavelli_exec::{self as exec, Morsel};
 use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
@@ -52,10 +52,10 @@ use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_trace::{self as trace, DeclineReason};
-use machiavelli_value::plain::{ColumnarRelation, PlainIndex, PlainValue};
+use machiavelli_value::plain::{ColumnarRelation, PlainIndex, PlainKey, PlainValue};
 use machiavelli_value::tuning::{
-    columnar_min_rows, note_offload, note_par_join, note_par_probe, note_snapshot,
-    par_join_min_build_rows, par_probe_min_rows, par_threads, parallel_enabled,
+    note_offload, note_par_join, note_par_probe, note_snapshot, par_min_rows, par_threads,
+    parallel_enabled,
 };
 use machiavelli_value::{show_value, value_eq, Env, MSet, Value};
 use std::rc::Rc;
@@ -123,15 +123,15 @@ fn run_par<T, E>(f: impl FnOnce() -> T) -> Result<T, ExecError<E>> {
     Ok(out)
 }
 
-/// Static eligibility of a [`PhysOp::HashJoin`] for the plain-data
-/// parallel lane. Present iff the **probe keys** are [`par_evaluable`]
-/// under the earlier binders — enough for the partition-parallel probe
-/// over a *cached* plain index, which needs no build-side evaluation at
-/// all. `build_ok` additionally records whether the build keys and
-/// pushed filters are `par_evaluable` under the build binder — the
-/// stronger requirement of the inline partition build+probe lane
-/// (uncached joins). Carries the probe binders the keys actually
-/// mention, so the executor extracts only those per input row.
+/// Static eligibility of a [`PhysOp::HashJoin`] for the plain-keyed
+/// lane. Present iff the **probe keys** are [`par_evaluable`] under the
+/// earlier binders — enough for the plain probe of a *cached* plain
+/// index, which needs no build-side evaluation at all. `build_ok`
+/// additionally records whether the build keys and pushed filters are
+/// `par_evaluable` under the build binder — what an uncached build
+/// needs to be keyed into a local plain table. Carries the probe
+/// binders the keys actually mention, so the executor extracts only
+/// those per input row.
 #[derive(Debug)]
 pub struct ParInfo {
     pub probe_vars: Vec<Symbol>,
@@ -220,16 +220,14 @@ pub enum PhysOp<'a> {
         build_keys: Vec<&'a Expr>,
         fingerprint: Option<String>,
         /// `Some` when the join's probe side is statically eligible for
-        /// the plain-value lane (see the parallel execution contract in
-        /// the crate docs): a *cached plain* build table can then be
-        /// probed by parallel workers; `par.build_ok` additionally
-        /// enables the inline partition build+probe for uncached
-        /// builds. Whether an execution actually parallelizes is
-        /// decided at open time: the lane must be enabled with >1
-        /// worker threads, size cutoffs
-        /// ([`machiavelli_value::tuning::par_join_min_build_rows`] /
-        /// [`machiavelli_value::tuning::par_probe_min_rows`]) must
-        /// clear, and every key must extract to plain data.
+        /// the plain-keyed lane (see the parallel execution contract in
+        /// the crate docs): a *cached plain* build table is then probed
+        /// with extracted keys; `par.build_ok` additionally keys an
+        /// uncached build into a local plain table. At open time the
+        /// lane must be enabled and every key must extract to plain
+        /// data; the probe fans out over worker threads only with >1
+        /// configured and a probe side over
+        /// [`machiavelli_value::tuning::par_min_rows`].
         par: Option<ParInfo>,
         /// `Some` when the build side may be flipped to the first
         /// generator at open time (see [`SwapInfo`]).
@@ -571,13 +569,13 @@ impl<'a> LogicalPlan<'a> {
                     && build_keys.iter().all(|k| closed_under(k, &binder))
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
                 .then(|| join_fingerprint(step.source, step.var, &build_keys, &step.filters));
-                // Parallel-lane eligibility. Probe-key coverage by the
+                // Plain-lane eligibility. Probe-key coverage by the
                 // plain mini-evaluator is enough to probe a *cached*
-                // plain index in parallel (no build-side evaluation
-                // happens at all); the inline partition build+probe
-                // additionally needs the build keys and pushed filters
-                // covered under the build binder (`build_ok`) — the
-                // same closure discipline the store uses, plus the
+                // plain index (no build-side evaluation happens at
+                // all); keying an uncached build into a local plain
+                // table additionally needs the build keys and pushed
+                // filters covered under the build binder (`build_ok`) —
+                // the same closure discipline the store uses, plus the
                 // mini-evaluator's coverage test.
                 let par = probe_keys
                     .iter()
@@ -872,11 +870,11 @@ pub fn columnar_eligible(filters: &[Conjunct<'_>], var: Symbol) -> bool {
 }
 
 /// Runtime gate of the columnar lane: enabled, more than one worker,
-/// and the relation over the
-/// [`machiavelli_value::tuning::columnar_min_rows`] cutoff (snapshot
-/// extraction plus scheduling must have enough rows to amortize over).
+/// and the relation over the [`machiavelli_value::tuning::par_min_rows`]
+/// cutoff (snapshot extraction plus scheduling must have enough rows to
+/// amortize over).
 fn columnar_live(rows: usize) -> bool {
-    parallel_enabled() && par_threads() > 1 && rows >= columnar_min_rows()
+    parallel_enabled() && par_threads() > 1 && rows >= par_min_rows()
 }
 
 /// Obtain a plain columnar snapshot of `items`: through the session's
@@ -1164,7 +1162,7 @@ fn columnar_filter_pair<E>(
 /// relation clears the row cutoff. On success the surviving rows — an
 /// ascending subset of the canonical slice, so itself canonical —
 /// become a **filterless** scan over a fresh [`MSet`]: exactly the
-/// shape [`open_cached_par_probe`]'s fast path keys raw rows from, so
+/// shape [`open_plain_probe`]'s fast path keys raw rows from, so
 /// the whole Scan→Filter→Join pipeline composes onto the lane. Any
 /// decline yields the ordinary filtered scan with zero behavior change.
 /// An outer-`Some` `keep` short-circuits the filter run: the caller
@@ -1243,231 +1241,14 @@ fn open_scan_traced<'p, E>(
     })
 }
 
-/// The shared sequential-fallback shape of [`open_par_join`]: count the
-/// fallback (with its typed `reason`), build the table inline, and
-/// probe `input` — the untouched pipeline, the drained rows, or the
-/// drained prefix chained to the live remainder, depending on how far
-/// the parallel attempt got.
-#[allow(clippy::too_many_arguments)]
-fn seq_join_fallback<'p, H: EvalHook>(
-    input: Box<Node<'p>>,
-    items: &MSet,
-    var: Symbol,
-    build_keys: &'p [&'p Expr],
-    filters: &'p [Conjunct<'p>],
-    probe_keys: &'p [&'p Expr],
-    reason: DeclineReason,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    note_par_join(false);
-    trace::note_decline(reason);
-    let table = CachedIndex::Local(Rc::new(build_join_index(
-        items, var, filters, build_keys, env, hook,
-    )?));
-    Ok(Node::HashJoin {
-        input,
-        var,
-        probe_keys,
-        items: items.clone(),
-        table,
-        cur: None,
-    })
-}
-
-/// Open a statically eligible hash join on the parallel lane. Always
-/// returns a usable node: on success a [`Node::ParJoin`] holding the
-/// precomputed match lists, on any keying or extraction failure the
-/// sequential build/probe shape (over the already drained input when
-/// draining had happened) — with **zero** behavior change, since
-/// everything the parallel attempt evaluated early is planner-safe.
-/// Records the hit/fallback in
-/// [`machiavelli_value::tuning::par_stats`].
-///
-/// Both sides are keyed sequentially on the `Rc` lane through
-/// [`crate::parallel::safe_eval`] (no interpreter dispatch, no
-/// environment allocation) and only the extracted [`PlainKey`] tuples
-/// cross into the worker threads; rows are matched by **index** and
-/// re-bound on the session thread, so nothing is deep-copied.
-#[allow(clippy::too_many_arguments)]
-fn open_par_join<'p, H: EvalHook>(
-    mut input: Box<Node<'p>>,
-    items: MSet,
-    var: Symbol,
-    build_keys: &'p [&'p Expr],
-    filters: &'p [Conjunct<'p>],
-    probe_keys: &'p [&'p Expr],
-    info: &'p ParInfo,
-    build_keep: Option<Vec<u32>>,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    // Key the build side: pushed filters prune, then the key closure
-    // is evaluated and extracted. Any decline (unsupported shape at
-    // runtime, identity-bearing key value, strict filter evaluating
-    // non-boolean) abandons the lane before the input is drained.
-    // When the columnar lane already ran the filters (`build_keep`,
-    // the independent-generator batch), only the survivors are keyed.
-    let mut build_keyed: Vec<Keyed> = Vec::with_capacity(items.len());
-    let mut keyed_ok = true;
-    if let Some(keep) = &build_keep {
-        for &i in keep {
-            let row_env = ValueBindings {
-                head: Some((var, &items.as_slice()[i as usize])),
-                rest: &[],
-            };
-            match extract_key(build_keys, &row_env) {
-                Some(key) => build_keyed.push(Keyed::new(key, i as usize)),
-                None => {
-                    keyed_ok = false;
-                    break;
-                }
-            }
-        }
-    } else {
-        'build: for (i, row) in items.iter().enumerate() {
-            let row_env = ValueBindings {
-                head: Some((var, row)),
-                rest: &[],
-            };
-            for c in filters {
-                match safe_eval(c.expr, &row_env) {
-                    Some(Value::Bool(true)) => {}
-                    Some(Value::Bool(false)) => continue 'build,
-                    // A lenient (syntactically last) conjunct rejects
-                    // the row on a non-boolean, like the sequential
-                    // `check`; a strict one would error — abandon and
-                    // let the sequential path raise it.
-                    Some(_) if !c.strict => continue 'build,
-                    _ => {
-                        keyed_ok = false;
-                        break 'build;
-                    }
-                }
-            }
-            match extract_key(build_keys, &row_env) {
-                Some(key) => build_keyed.push(Keyed::new(key, i)),
-                None => {
-                    keyed_ok = false;
-                    break 'build;
-                }
-            }
-        }
-    }
-    if !keyed_ok {
-        return seq_join_fallback(
-            input,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinBuildExtract,
-            env,
-            hook,
-        );
-    }
-    // Materialize and key the probe side (upstream per-row work is
-    // planner-safe; evaluating it before the first result row is
-    // unobservable). Binder values are O(1) `Rc`-bump clones. The
-    // sequential probe streams with O(1) extra memory, so draining is
-    // capped relative to the build side: a pathologically large probe
-    // pipeline bails to the sequential probe over the drained prefix
-    // plus the still-live remainder of the input.
-    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
-    let mut probe_rows: Vec<Env> = Vec::new();
-    let mut drained_all = true;
-    while let Some(row) = input.next(hook)? {
-        probe_rows.push(row);
-        if probe_rows.len() >= max_probe {
-            drained_all = false;
-            break;
-        }
-    }
-    if !drained_all {
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: Some(input),
-        });
-        return seq_join_fallback(
-            drained,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinProbeCap,
-            env,
-            hook,
-        );
-    }
-    let mut probe_keyed: Vec<Keyed> = Vec::with_capacity(probe_rows.len());
-    'probe: for (i, row) in probe_rows.iter().enumerate() {
-        let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
-        for v in &info.probe_vars {
-            match row.lookup(*v) {
-                Some(val) => bound.push((*v, val)),
-                None => {
-                    keyed_ok = false;
-                    break 'probe;
-                }
-            }
-        }
-        let row_env = ValueBindings {
-            head: None,
-            rest: &bound,
-        };
-        match extract_key(probe_keys, &row_env) {
-            Some(key) => probe_keyed.push(Keyed::new(key, i)),
-            None => {
-                keyed_ok = false;
-                break 'probe;
-            }
-        }
-    }
-    if !keyed_ok {
-        // Fallback: sequential build and probe over the drained rows —
-        // identical bindings, identical error points.
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: None,
-        });
-        return seq_join_fallback(
-            drained,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinProbeExtract,
-            env,
-            hook,
-        );
-    }
-    let matches = run_par(|| par_partition_join(&build_keyed, &probe_keyed, par_threads()))?;
-    note_par_join(true);
-    trace::annotate_lane(
-        trace::current_span(),
-        trace::Lane::Par(par_threads() as u32),
-    );
-    Ok(Node::ParJoin {
-        var,
-        rows: items,
-        probe: ParProbe::Envs(probe_rows),
-        matches,
-        cursor: (0, 0),
-        cur_env: None,
-    })
-}
-
 /// Open a hash join whose orientation is already fixed: `input` streams
-/// the probe side, `items` is the build relation. Routes between the
-/// three execution shapes in precedence order — the inline partition
-/// lane (uncached, statically `build_ok`, over the build-row cutoff),
-/// the **cached parallel probe** (a store-served *plain* table with
-/// par-evaluable probe keys), and the sequential build/probe.
+/// the probe side, `items` is the build relation. With the lane enabled
+/// and the probe keys covered (`par`), every plain table takes the one
+/// plain probe ([`open_plain_probe`]): an uncached build whose keys and
+/// filters are covered (`build_ok`) is keyed into a local plain table
+/// first, and a store-served build is one whenever its relation
+/// extracted. Everything else — and a build that declines the plain
+/// keyer — is the sequential build/probe.
 #[allow(clippy::too_many_arguments)]
 fn open_keyed_join<'p, H: EvalHook>(
     input: Box<Node<'p>>,
@@ -1483,35 +1264,12 @@ fn open_keyed_join<'p, H: EvalHook>(
     env: &Env,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
-    // The inline partition lane serves builds the store will not: a
-    // cached index beats any rebuild, so fingerprinted builds stay on
-    // the store path. Runtime gates: lane enabled, >1 worker threads,
-    // build side over the row cutoff. `open_par_join` then commits to
-    // *some* node — parallel on success, the drained sequential shape
-    // on extraction/evaluation fallback.
-    if fingerprint.is_none() && parallel_enabled() && par_threads() > 1 {
-        if let Some(info) = par {
-            if info.build_ok && items.len() >= par_join_min_build_rows() {
-                return open_par_join(
-                    input,
-                    items,
-                    var,
-                    build_keys,
-                    filters,
-                    probe_keys,
-                    info,
-                    build_keep.flatten(),
-                    env,
-                    hook,
-                );
-            }
-        }
-    }
-    let table = match fingerprint {
+    let par = par.filter(|_| parallel_enabled());
+    let table = match (fingerprint, par) {
         // Cacheable build: request it from the index store (hit ⇒ the
         // whole build phase — filters and keys — is skipped; all
         // planner-safe, so unobservable).
-        Some(fp) => obtain_index(
+        (Some(fp), _) => obtain_index(
             &items,
             fp,
             |hook| {
@@ -1521,47 +1279,74 @@ fn open_keyed_join<'p, H: EvalHook>(
             },
             hook,
         )?,
+        // Uncached plain build: key once on the session thread. A
+        // columnar survivor list (the independent-generator batch)
+        // stands in for the filters.
+        (None, Some(info)) if info.build_ok => {
+            let keep = build_keep.as_ref().and_then(|k| k.as_deref());
+            match build_plain_index(&items, var, filters, build_keys, keep) {
+                Some(index) => {
+                    let index = Arc::new(index);
+                    return open_plain_probe(
+                        input, items, var, probe_keys, index, info, true, hook,
+                    );
+                }
+                None => {
+                    note_par_join(false);
+                    trace::note_decline(DeclineReason::ParJoinBuildExtract);
+                    CachedIndex::Local(Rc::new(build_join_index_cols(
+                        &items, var, filters, build_keys, stable, build_keep, env, hook,
+                    )?))
+                }
+            }
+        }
         // Environment-dependent build: construct inline.
-        None => CachedIndex::Local(Rc::new(build_join_index_cols(
+        (None, _) => CachedIndex::Local(Rc::new(build_join_index_cols(
             &items, var, filters, build_keys, stable, build_keep, env, hook,
         )?)),
     };
-    // The composed lane: a store-served plain table is `Send + Sync`,
-    // so eligible probe keys fan the probe out over it directly.
-    if let CachedIndex::Plain(index) = &table {
-        if parallel_enabled() && par_threads() > 1 {
-            if let Some(info) = par {
-                let index = index.clone();
-                return open_cached_par_probe(input, items, var, probe_keys, index, info, hook);
-            }
+    match (&table, par) {
+        (CachedIndex::Plain(index), Some(info)) => {
+            let index = index.clone();
+            open_plain_probe(input, items, var, probe_keys, index, info, false, hook)
         }
+        _ => Ok(Node::HashJoin {
+            input,
+            var,
+            probe_keys,
+            items,
+            table,
+            cur: None,
+        }),
     }
-    Ok(Node::HashJoin {
-        input,
-        var,
-        probe_keys,
-        items,
-        table,
-        cur: None,
-    })
 }
 
-/// Probe a cached plain index with parallel workers. Always returns a
-/// usable node: [`Node::ParJoin`] on success, otherwise the sequential
-/// probe over the already-obtained table — with zero behavior change,
+/// Count one plain-lane outcome: local tables (uncached joins) count as
+/// `par_joins`, store-served ones as `par_probes`.
+fn note_plain(local: bool, hit: bool) {
+    if local {
+        note_par_join(hit)
+    } else {
+        note_par_probe(hit)
+    }
+}
+
+/// Probe a plain table with extracted keys — a store-served index, or
+/// (`local`) an uncached join's freshly keyed table. Always returns a
+/// usable node: [`Node::PlainJoin`] on success, otherwise the
+/// sequential probe over the same table — with zero behavior change,
 /// since everything evaluated early (the probe pipeline's per-row
-/// expressions) is planner-safe. The probe side must clear
-/// [`machiavelli_value::tuning::par_probe_min_rows`] (distinct from the
-/// build-row cutoff: there is no build to amortize here, only probe
-/// materialization and thread coordination), and draining is
-/// memory-capped exactly like the inline lane's.
-fn open_cached_par_probe<'p, H: EvalHook>(
+/// expressions) is planner-safe. Draining a general probe pipeline is
+/// memory-capped ([`machiavelli_value::tuning::par_join_max_probe_rows`]).
+#[allow(clippy::too_many_arguments)]
+fn open_plain_probe<'p, H: EvalHook>(
     mut input: Box<Node<'p>>,
     items: MSet,
     var: Symbol,
     probe_keys: &'p [&'p Expr],
     index: Arc<PlainIndex>,
     info: &'p ParInfo,
+    local: bool,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
     let seq = |input: Box<Node<'p>>, items: MSet, index: Arc<PlainIndex>| Node::HashJoin {
@@ -1574,8 +1359,11 @@ fn open_cached_par_probe<'p, H: EvalHook>(
     };
     // An empty index matches nothing; the sequential node short-circuits
     // without even pulling the input. Not a fallback — there is no probe
-    // work to parallelize.
+    // work to do (a local table still counts: its build ran plain).
     if index.is_empty() {
+        if local {
+            note_par_join(true);
+        }
         return Ok(seq(input, items, index));
     }
     // Peel an active-trace [`Node::Traced`] wrapper so the fast-path
@@ -1602,8 +1390,10 @@ fn open_cached_par_probe<'p, H: EvalHook>(
     // two-generator equi-join). Keys extract straight off the relation
     // slice through borrowed bindings: no per-row environment
     // allocation, no `Env` materialization, and match envs bind lazily
-    // (only probe rows that actually matched ever get one) — the same
-    // raw-row keying that makes the inline partition lane profitable.
+    // (only probe rows that actually matched ever get one). The keys
+    // and match lists are still per probe row, so the drain cap below
+    // bounds this path too.
+    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
     if let Node::Scan {
         var: svar,
         filters: sfilters,
@@ -1613,57 +1403,37 @@ fn open_cached_par_probe<'p, H: EvalHook>(
     } = input.as_ref()
     {
         if sfilters.is_empty() {
-            if pitems.len() < par_probe_min_rows() {
+            if pitems.len() >= max_probe {
+                note_plain(local, false);
+                trace::note_decline(DeclineReason::ParProbeDrainCap);
                 return Ok(seq(rewrap(input), items, index));
             }
-            let mut keys = Vec::with_capacity(pitems.len());
-            let mut keyed_ok = true;
-            for row in pitems.iter() {
+            let keys = extract_keys(pitems.as_slice(), |row| {
                 let row_env = ValueBindings {
                     head: Some((*svar, row)),
                     rest: &[],
                 };
-                match extract_key(probe_keys, &row_env) {
-                    Some(key) => keys.push(key),
-                    None => {
-                        keyed_ok = false;
-                        break;
-                    }
-                }
-            }
-            if !keyed_ok {
+                extract_key(probe_keys, &row_env)
+            });
+            let Some(keys) = keys else {
                 // Nothing was drained: the untouched Scan replays
                 // through the sequential probe.
-                note_par_probe(false);
+                note_plain(local, false);
                 trace::note_decline(DeclineReason::ParProbeExtract);
                 return Ok(seq(rewrap(input), items, index));
-            }
-            let matches = run_par(|| par_probe_cached(&index, &keys, par_threads()))?;
-            note_par_probe(true);
-            trace::annotate_lane(
-                trace::current_span(),
-                trace::Lane::CachedPar(par_threads() as u32),
-            );
+            };
             trace::annotate_rows(input_sid, pitems.len() as u64);
-            let probe = ParProbe::Rows {
+            let probe = PlainProbe::Rows {
                 base: base.clone(),
                 var: *svar,
                 items: pitems.clone(),
             };
-            return Ok(Node::ParJoin {
-                var,
-                rows: items,
-                probe,
-                matches,
-                cursor: (0, 0),
-                cur_env: None,
-            });
+            return plain_join(var, items, &index, &keys, probe, local);
         }
     }
     // Materialize the probe side (upstream per-row work is planner-safe;
     // evaluating it before the first result row is unobservable),
-    // capped like the inline lane.
-    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
+    // capped relative to the build side.
     let mut probe_rows: Vec<Env> = Vec::new();
     let mut drained_all = true;
     while let Some(row) = input.next(hook)? {
@@ -1677,7 +1447,7 @@ fn open_cached_par_probe<'p, H: EvalHook>(
     // yielded-row count directly (a rewrapped remainder adds on top).
     trace::annotate_rows(input_sid, probe_rows.len() as u64);
     if !drained_all {
-        note_par_probe(false);
+        note_plain(local, false);
         trace::note_decline(DeclineReason::ParProbeDrainCap);
         let drained = Box::new(Node::Materialized {
             rows: probe_rows,
@@ -1686,61 +1456,78 @@ fn open_cached_par_probe<'p, H: EvalHook>(
         });
         return Ok(seq(drained, items, index));
     }
-    let drained = |probe_rows| {
-        Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: None,
-        })
-    };
-    // Below the probe cutoff the sequential probe wins; not counted as
-    // a fallback (a size gate, not a runtime decline).
-    if probe_rows.len() < par_probe_min_rows() {
-        return Ok(seq(drained(probe_rows), items, index));
-    }
-    let mut keys = Vec::with_capacity(probe_rows.len());
-    let mut keyed_ok = true;
-    'probe: for row in &probe_rows {
-        let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
-        for v in &info.probe_vars {
-            match row.lookup(*v) {
-                Some(val) => bound.push((*v, val)),
-                None => {
-                    keyed_ok = false;
-                    break 'probe;
-                }
-            }
-        }
+    let keys = extract_keys(&probe_rows, |row| {
+        let bound = info
+            .probe_vars
+            .iter()
+            .map(|v| row.lookup(*v).map(|val| (*v, val)))
+            .collect::<Option<Vec<(Symbol, Value)>>>()?;
         let row_env = ValueBindings {
             head: None,
             rest: &bound,
         };
-        match extract_key(probe_keys, &row_env) {
-            Some(key) => keys.push(key),
-            None => {
-                keyed_ok = false;
-                break 'probe;
-            }
-        }
-    }
-    if !keyed_ok {
+        extract_key(probe_keys, &row_env)
+    });
+    let Some(keys) = keys else {
         // A probe key declined extraction (identity-bearing value or an
         // unsupported runtime shape): replay the drained rows through
         // the sequential probe — identical bindings, identical errors.
-        note_par_probe(false);
+        note_plain(local, false);
         trace::note_decline(DeclineReason::ParProbeExtract);
-        return Ok(seq(drained(probe_rows), items, index));
+        let drained = Box::new(Node::Materialized {
+            rows: probe_rows,
+            idx: 0,
+            rest: None,
+        });
+        return Ok(seq(drained, items, index));
+    };
+    plain_join(
+        var,
+        items,
+        &index,
+        &keys,
+        PlainProbe::Envs(probe_rows),
+        local,
+    )
+}
+
+/// Extract one probe key per row into a vector sized up front; `None`
+/// as soon as a row declines.
+fn extract_keys<T>(rows: &[T], key_of: impl Fn(&T) -> Option<PlainKey>) -> Option<Vec<PlainKey>> {
+    let mut keys = Vec::with_capacity(rows.len());
+    for row in rows {
+        keys.push(key_of(row)?);
     }
-    let matches = run_par(|| par_probe_cached(&index, &keys, par_threads()))?;
-    note_par_probe(true);
-    trace::annotate_lane(
-        trace::current_span(),
-        trace::Lane::CachedPar(par_threads() as u32),
-    );
-    Ok(Node::ParJoin {
+    Some(keys)
+}
+
+/// Run the plain probe for extracted `keys` — fanned out over the
+/// morsel scheduler when more than one worker is configured and the
+/// probe side clears [`machiavelli_value::tuning::par_min_rows`], inline
+/// otherwise — and wrap the matches in a [`Node::PlainJoin`].
+fn plain_join<'p, E>(
+    var: Symbol,
+    items: MSet,
+    index: &PlainIndex,
+    keys: &[PlainKey],
+    probe: PlainProbe,
+    local: bool,
+) -> Result<Node<'p>, ExecError<E>> {
+    let threads = if keys.len() >= par_min_rows() {
+        par_threads()
+    } else {
+        1
+    };
+    let matches = run_par(|| probe_plain(index, keys, threads))?;
+    note_plain(local, true);
+    // An inline probe ran on the session thread: its span keeps `seq`.
+    if threads > 1 {
+        trace::annotate_lane(trace::current_span(), trace::Lane::Plain(threads as u32));
+    }
+    Ok(Node::PlainJoin {
         var,
         rows: items,
-        probe: ParProbe::Envs(probe_rows),
+        probe,
         matches,
         cursor: (0, 0),
         cur_env: None,
@@ -1790,8 +1577,8 @@ enum Node<'p> {
         /// The in-flight probe binding and its match cursor.
         cur: Option<(Env, Vec<u32>, usize)>,
     },
-    /// A (possibly partially) drained input: the parallel lane
-    /// materializes the probe side before fanning out; if it then has
+    /// A (possibly partially) drained input: the plain probe
+    /// materializes the probe side before keying it; if it then has
     /// to fall back, the rows replay through the sequential join
     /// unchanged (every per-row upstream expression is planner-safe, so
     /// having evaluated them early is unobservable), followed by
@@ -1802,19 +1589,19 @@ enum Node<'p> {
         idx: usize,
         rest: Option<Box<Node<'p>>>,
     },
-    /// A completed parallel join: `matches[i]` holds the build-row
+    /// A completed plain-keyed join: `matches[i]` holds the build-row
     /// indices for probe row `i`, each list ascending (= build-source
     /// canonical order). Yields probe-major with groups in order —
     /// exactly the binding sequence the sequential probe produces.
-    ParJoin {
+    PlainJoin {
         var: Symbol,
         rows: MSet,
-        probe: ParProbe,
+        probe: PlainProbe,
         matches: Vec<Vec<u32>>,
         cursor: (usize, usize),
         /// The probe row currently being enumerated, bound at most once
         /// (only rows with matches are ever bound at all on the
-        /// [`ParProbe::Rows`] path).
+        /// [`PlainProbe::Rows`] path).
         cur_env: Option<(usize, Env)>,
     },
     Filter {
@@ -1824,13 +1611,13 @@ enum Node<'p> {
     /// A span-wrapped operator, present only while a query trace is
     /// active: `next` adds the inclusive elapsed time and yielded-row
     /// count of the inner node to span `sid`. Lanes that pattern-match
-    /// their input's shape (the cached-par probe fast path) peel this
-    /// wrapper first — see [`open_cached_par_probe`].
+    /// their input's shape (the plain probe fast path) peel this
+    /// wrapper first — see [`open_plain_probe`].
     Traced { sid: u32, inner: Box<Node<'p>> },
 }
 
-/// The probe side of a completed [`Node::ParJoin`].
-enum ParProbe {
+/// The probe side of a completed [`Node::PlainJoin`].
+enum PlainProbe {
     /// Materialized probe environments, one per probe row (general
     /// pipelines: the rows were drained through the input node).
     Envs(Vec<Env>),
@@ -2236,7 +2023,7 @@ impl<'p> Node<'p> {
                     Ok(None)
                 }
             }
-            Node::ParJoin {
+            Node::PlainJoin {
                 var,
                 rows,
                 probe,
@@ -2253,8 +2040,8 @@ impl<'p> Node<'p> {
                     *cursor = (i, j + 1);
                     let item = rows.as_slice()[group[j] as usize].clone();
                     let outer = match probe {
-                        ParProbe::Envs(envs) => envs[i].clone(),
-                        ParProbe::Rows {
+                        PlainProbe::Envs(envs) => envs[i].clone(),
+                        PlainProbe::Rows {
                             base,
                             var: svar,
                             items,

@@ -15,18 +15,13 @@
 //! `to_plain`, and folds it here — falling back to the sequential
 //! interpreter fold whenever the classification or extraction declines.
 //!
-//! # Failure behavior
-//!
-//! * A worker **panic** is re-raised on the coordinating thread with its
-//!   original payload (`resume_unwind`), not swallowed or turned into a
-//!   process abort.
-//! * A failed **thread spawn** (OS limits) degrades gracefully: the
-//!   chunk that could not get a thread is folded inline on the
-//!   coordinating thread via [`seq_hom`] — the result is identical,
-//!   only the parallelism is lost.
-
-use crossbeam::thread;
-use machiavelli_value::tuning::PAR_HOM_MIN_ITEMS_PER_THREAD;
+//! The fold runs on the workspace's one scheduler,
+//! [`machiavelli_exec::run_tasks`]: the set is cut into morsels, each
+//! morsel folds sequentially, and the partials combine in morsel order.
+//! So worker panics re-raise on the coordinator with their original
+//! payload, denied spawns leave their morsels to the surviving workers,
+//! and one thread (or one morsel) folds inline — all the scheduler's
+//! guarantees, none of them re-implemented here.
 
 /// Sequential `hom(f, op, z, items)` as the paper's right fold.
 pub fn seq_hom<T, B>(items: &[T], f: impl Fn(&T) -> B, op: impl Fn(B, B) -> B, z: B) -> B {
@@ -38,10 +33,10 @@ pub fn seq_hom<T, B>(items: &[T], f: impl Fn(&T) -> B, op: impl Fn(B, B) -> B, z
 }
 
 /// Parallel `hom` for *proper* applications: `op` must be associative
-/// and commutative with identity `z` (each chunk is seeded with `z`, so
-/// a non-identity `z` would be folded in once per chunk). Splits into
-/// `n_threads` chunks; inputs smaller than
-/// [`PAR_HOM_MIN_ITEMS_PER_THREAD`] per thread fold sequentially.
+/// and commutative with identity `z` (each morsel is seeded with `z`,
+/// so a non-identity `z` would be folded in once per morsel). Folds
+/// [`machiavelli_exec::morsels`] of `items` across up to `n_threads`
+/// work-stealing workers.
 pub fn par_hom<T, B>(
     items: &[T],
     f: impl Fn(&T) -> B + Sync,
@@ -51,50 +46,16 @@ pub fn par_hom<T, B>(
 ) -> B
 where
     T: Sync,
-    B: Send + Clone,
+    B: Send + Clone + Sync,
 {
-    let n_threads = n_threads.max(1);
-    if items.len() < PAR_HOM_MIN_ITEMS_PER_THREAD * n_threads || n_threads == 1 {
-        return seq_hom(items, &f, &op, z);
-    }
-    let chunk = items.len().div_ceil(n_threads);
-    let partials = thread::scope(|scope| {
-        // Spawn fallibly; a chunk whose spawn is declined by the OS is
-        // remembered and folded inline below, while the threads that
-        // did spawn keep working.
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| {
-                let f = &f;
-                let op = &op;
-                let z = z.clone();
-                // The injected spawn fault exercises the same inline
-                // fallback as a real OS decline.
-                if machiavelli_value::faults::spawn_denied() {
-                    return Err(slice);
-                }
-                match scope.try_spawn(move |_| seq_hom(slice, f, op, z)) {
-                    Ok(h) => Ok(h),
-                    Err(_) => Err(slice),
-                }
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h {
-                // Propagate a worker panic with its original payload on
-                // the coordinating thread (the scope still joins the
-                // remaining workers while this unwinds).
-                Ok(h) => h
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-                Err(slice) => seq_hom(slice, &f, &op, z.clone()),
-            })
-            .collect::<Vec<B>>()
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    let (partials, _) = machiavelli_exec::run_tasks(
+        n_threads,
+        machiavelli_exec::morsels(items.len()),
+        || (),
+        |_, m: machiavelli_exec::Morsel| seq_hom(&items[m.start..m.end], &f, &op, z.clone()),
+    );
     let mut acc = z;
-    for p in partials {
+    for p in partials.into_iter().rev() {
         acc = op(p, acc);
     }
     acc
@@ -132,6 +93,19 @@ mod tests {
         let data: Vec<i64> = (0..5000).collect();
         let count = par_hom(&data, |&x| i64::from(x > 2499), |a, b| a + b, 0, 4);
         assert_eq!(count, 2500);
+    }
+
+    #[test]
+    fn many_morsels_combine_in_order() {
+        let prev = machiavelli_value::tuning::set_morsel_rows(Some(7));
+        let data: Vec<i64> = (0..100).collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                par_hom(&data, |&x| x, |a, b| a + b, 0, threads),
+                (0..100).sum::<i64>()
+            );
+        }
+        machiavelli_value::tuning::set_morsel_rows(prev);
     }
 
     #[test]

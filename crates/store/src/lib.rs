@@ -17,9 +17,8 @@
 //!   `Send + Sync` plain form (`machiavelli_value::plain`), built
 //!   whenever every relation row extracts via `to_plain`. A plain entry
 //!   is shareable across threads, which is what lets the planner run
-//!   its **partition-parallel probe directly against the cache**: the
-//!   PR 3 store and the PR 4 parallel lane compose instead of excluding
-//!   each other.
+//!   its **plain probe directly against the cache**: the PR 3 store and
+//!   the PR 4 parallel lane compose instead of excluding each other.
 //! * **Local** — the `Rc`-lane [`Index`] keyed by [`KeyTuple`], for
 //!   relations carrying identity-bearing data (refs, dynamics) that has
 //!   no plain form. Cached and probed sequentially, exactly as before.

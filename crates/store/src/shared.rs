@@ -341,11 +341,13 @@ pub fn adopt(content: u64, fingerprint: &str, set: &MSet) -> Option<Arc<PlainInd
     // Verification runs *outside* the lock (O(n) over the relation):
     // the snapshot must be element-for-element the adopter's relation,
     // or its row indices would name the wrong values.
-    let verified = index.rows.len() == set.len()
-        && set
-            .iter()
-            .zip(index.rows.iter())
-            .all(|(v, p)| plain_matches_value(p, v));
+    let verified = index.rows.as_ref().is_some_and(|rows| {
+        rows.len() == set.len()
+            && set
+                .iter()
+                .zip(rows.iter())
+                .all(|(v, p)| plain_matches_value(p, v))
+    });
     if !verified {
         let mut tier = lock_tier();
         tier.stats.misses += 1;

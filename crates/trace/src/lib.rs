@@ -3,9 +3,9 @@
 //! the engine-wide **decline taxonomy** and the process-wide query
 //! latency histogram the server's `METRICS` verb exposes.
 //!
-//! The engine has five execution lanes (interpreted `select_loop`,
-//! sequential planner pipeline, cached-index probes, partition-parallel
-//! joins, columnar morsels) that choose among themselves at run time.
+//! The engine has four execution lanes (interpreted `select_loop`,
+//! sequential planner pipeline, plain-keyed join probes, columnar
+//! morsels) that choose among themselves at run time.
 //! Before this crate the only record of those choices was a handful of
 //! aggregate hit/fallback counters: when a pipeline silently fell back,
 //! nothing said *which operator* declined or *why*. This crate supplies
@@ -113,10 +113,11 @@ pub fn now_ns() -> u64 {
 pub enum Lane {
     /// Sequential planner pipeline (the default).
     Seq,
-    /// Inline partition-parallel hash join across `n` workers.
-    Par(u32),
-    /// Parallel probe of a **cached** plain index across `n` workers.
-    CachedPar(u32),
+    /// Plain-keyed hash-join probe — of a store-served plain index or
+    /// of an uncached join's local plain table — fanned out across `n`
+    /// workers. An inline plain probe runs on the session thread and
+    /// keeps [`Lane::Seq`].
+    Plain(u32),
     /// Columnar morsel offload across `n` workers.
     Columnar(u32),
 }
@@ -125,8 +126,7 @@ impl std::fmt::Display for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Lane::Seq => write!(f, "seq"),
-            Lane::Par(n) => write!(f, "par n={n}"),
-            Lane::CachedPar(n) => write!(f, "cached-par n={n}"),
+            Lane::Plain(n) => write!(f, "plain n={n}"),
             Lane::Columnar(n) => write!(f, "columnar n={n}"),
         }
     }
@@ -424,19 +424,14 @@ pub enum DeclineReason {
     PlannerUnsafeDependentSource,
     /// Planner: a predicate conjunct could observe evaluation order.
     PlannerUnsafeConjunct,
-    /// Parallel join: a build-side row or key declined plain
-    /// extraction.
+    /// Uncached plain join: a build-side row, filter or key declined
+    /// the plain keyer.
     ParJoinBuildExtract,
-    /// Parallel join: the probe drain hit its memory cap before the
-    /// input was exhausted.
-    ParJoinProbeCap,
-    /// Parallel join: a probe-side row or key declined plain
-    /// extraction.
-    ParJoinProbeExtract,
-    /// Cached parallel probe: a probe row or key declined plain
-    /// extraction.
+    /// Plain probe (uncached or store-served table): a probe row or key
+    /// declined plain extraction.
     ParProbeExtract,
-    /// Cached parallel probe: the probe drain hit its memory cap.
+    /// Plain probe: the probe drain hit its memory cap before the input
+    /// was exhausted.
     ParProbeDrainCap,
     /// Parallel `hom`: capture or element extraction declined (or a
     /// worker fold was poisoned).
@@ -458,7 +453,7 @@ pub enum DeclineReason {
 
 impl DeclineReason {
     /// Number of variants (sizes the count arrays).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Every variant, in stable rendering order.
     pub const ALL: [DeclineReason; DeclineReason::COUNT] = [
@@ -467,8 +462,6 @@ impl DeclineReason {
         DeclineReason::PlannerUnsafeDependentSource,
         DeclineReason::PlannerUnsafeConjunct,
         DeclineReason::ParJoinBuildExtract,
-        DeclineReason::ParJoinProbeCap,
-        DeclineReason::ParJoinProbeExtract,
         DeclineReason::ParProbeExtract,
         DeclineReason::ParProbeDrainCap,
         DeclineReason::ParHomExtract,
@@ -487,8 +480,6 @@ impl DeclineReason {
             DeclineReason::PlannerUnsafeDependentSource => "planner-unsafe-dependent-source",
             DeclineReason::PlannerUnsafeConjunct => "planner-unsafe-conjunct",
             DeclineReason::ParJoinBuildExtract => "par-join-build-extract",
-            DeclineReason::ParJoinProbeCap => "par-join-probe-cap",
-            DeclineReason::ParJoinProbeExtract => "par-join-probe-extract",
             DeclineReason::ParProbeExtract => "par-probe-extract",
             DeclineReason::ParProbeDrainCap => "par-probe-drain-cap",
             DeclineReason::ParHomExtract => "par-hom-extract",
@@ -658,7 +649,7 @@ mod tests {
             let child = open_op_with(|| "Scan".to_string());
             close_op(child, 11);
             add_next(child.unwrap(), 3, 2);
-            annotate_lane(root, Lane::Par(4));
+            annotate_lane(root, Lane::Plain(4));
             annotate_cache(root, CacheOutcome::Build);
             close_op(root, 23);
             end_query();
@@ -671,7 +662,7 @@ mod tests {
             assert_eq!(t.spans[1].parent, Some(0));
             assert_eq!(t.spans[1].rows, 2);
             assert_eq!(t.spans[1].next_ns, 3);
-            assert_eq!(t.spans[0].lane, Lane::Par(4));
+            assert_eq!(t.spans[0].lane, Lane::Plain(4));
             assert_eq!(t.spans[0].cache, Some(CacheOutcome::Build));
         });
     }

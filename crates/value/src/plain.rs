@@ -1,6 +1,6 @@
 //! The **plain-value lane**: a `Send + Sync` mirror of the *data* subset
-//! of [`Value`], so proper `hom` applications and partition-parallel
-//! joins can cross thread boundaries.
+//! of [`Value`], so proper `hom` applications and plain-keyed joins can
+//! cross thread boundaries.
 //!
 //! [`Value`] is deliberately `Rc`-based and thread-confined; the paper's
 //! claim that proper `hom` applications are "computable in parallel"
@@ -30,6 +30,7 @@
 use crate::set::MSet;
 use crate::value::{Fields, Symbol, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -200,7 +201,7 @@ impl Ord for PlainValue {
 /// Feed the structural hash of `p` into `state` — byte-for-byte the
 /// encoding of [`hash_value`](crate::hash_value) on the extractable
 /// subset, so keys computed in either lane land in the same hash
-/// partition/group.
+/// group.
 pub fn plain_hash<H: Hasher>(p: &PlainValue, state: &mut H) {
     match p {
         PlainValue::Unit => state.write_u8(0),
@@ -416,15 +417,60 @@ pub fn value_key_digest(key: &[Value]) -> u64 {
     h.finish()
 }
 
+/// Digest → the key groups sharing it.
+type DigestBuckets =
+    std::collections::HashMap<u64, Bucket, std::hash::BuildHasherDefault<DigestHasher>>;
+
+/// One key's group: the key and its ascending row indices.
+type Group = (PlainKey, Vec<u32>);
+
+/// The key groups sharing one digest: nearly always exactly one, held
+/// inline so a build allocates one list per group and a probe chases
+/// no extra pointer.
+#[derive(Debug)]
+enum Bucket {
+    One(Group),
+    Many(Vec<Group>),
+}
+
+impl Bucket {
+    fn groups(&self) -> &[Group] {
+        match self {
+            Bucket::One(g) => std::slice::from_ref(g),
+            Bucket::Many(gs) => gs,
+        }
+    }
+
+    fn groups_mut(&mut self) -> &mut [Group] {
+        match self {
+            Bucket::One(g) => std::slice::from_mut(g),
+            Bucket::Many(gs) => gs,
+        }
+    }
+
+    fn push(&mut self, group: Group) {
+        match self {
+            Bucket::Many(gs) => gs.push(group),
+            Bucket::One(_) => {
+                let Bucket::One(first) = std::mem::replace(self, Bucket::Many(Vec::new())) else {
+                    unreachable!()
+                };
+                *self = Bucket::Many(vec![first, group]);
+            }
+        }
+    }
+}
+
 /// A **plain-keyed structural index**: a relation's rows grouped by key
 /// value, in plain (`Send + Sync`) form, so a *cached* index can be
 /// probed by parallel workers directly — the composition PR 3's store
 /// and PR 4's parallel lane previously excluded.
 ///
 /// `rows` is the plain snapshot of the indexed relation in canonical
-/// (sorted-set) order — the index is self-contained on the plain lane:
-/// a worker holding an `Arc<PlainIndex>` can inspect both groups and
-/// row payloads without touching `Rc` data. Groups map each key to the
+/// (sorted-set) order, kept by store entries so the shared tier can
+/// verify an adopter's relation against it. A **local** table — an
+/// uncached join's build, keyed once and dropped after the query —
+/// carries none ([`PlainIndex::local`]). Groups map each key to the
 /// **indices** of its rows, ascending (= canonical source order, the
 /// same order an inline `Rc`-lane build yields groups in); the executor
 /// re-binds matches by index into the *original* `Rc`-lane relation on
@@ -440,17 +486,11 @@ pub fn value_key_digest(key: &[Value]) -> u64 {
 /// A `PlainIndex` exists only for relations whose every row extracts
 /// via [`to_plain`]; relations carrying identity- or code-bearing data
 /// stay on the `Rc`-lane index representation (sequential probes only).
-/// Digest → the key groups sharing it (nearly always exactly one).
-type DigestBuckets = std::collections::HashMap<
-    u64,
-    Vec<(PlainKey, Vec<u32>)>,
-    std::hash::BuildHasherDefault<DigestHasher>,
->;
-
 #[derive(Debug)]
 pub struct PlainIndex {
-    /// Plain snapshot of the relation, canonical set order.
-    pub rows: Arc<[PlainValue]>,
+    /// Plain snapshot of the relation, canonical set order (`None` on a
+    /// local table, which is never published).
+    pub rows: Option<Arc<[PlainValue]>>,
     buckets: DigestBuckets,
     groups: usize,
 }
@@ -461,23 +501,49 @@ impl PlainIndex {
     /// keyed by structural equality).
     pub fn from_groups(
         rows: Arc<[PlainValue]>,
-        groups: impl IntoIterator<Item = (PlainKey, Vec<u32>)>,
+        groups: impl IntoIterator<Item = Group>,
     ) -> PlainIndex {
         let groups = groups.into_iter();
-        let mut buckets =
-            DigestBuckets::with_capacity_and_hasher(groups.size_hint().0, Default::default());
-        let mut n = 0usize;
+        let mut index = PlainIndex::local(groups.size_hint().0);
+        index.rows = Some(rows);
         for (key, idxs) in groups {
-            n += 1;
-            buckets
-                .entry(plain_key_digest(&key))
-                .or_insert_with(|| Vec::with_capacity(1))
-                .push((key, idxs));
+            index.groups += 1;
+            match index.buckets.entry(plain_key_digest(&key)) {
+                Entry::Vacant(e) => {
+                    e.insert(Bucket::One((key, idxs)));
+                }
+                Entry::Occupied(e) => e.into_mut().push((key, idxs)),
+            }
         }
+        index
+    }
+
+    /// An empty **local** table (no row snapshot) sized for about
+    /// `rows` keys; fill it with [`PlainIndex::push`].
+    pub fn local(rows: usize) -> PlainIndex {
         PlainIndex {
-            rows,
-            buckets,
-            groups: n,
+            rows: None,
+            buckets: DigestBuckets::with_capacity_and_hasher(rows, Default::default()),
+            groups: 0,
+        }
+    }
+
+    /// Add row `idx` under `key`. Rows must arrive in ascending index
+    /// order, so each group's list ascends.
+    pub fn push(&mut self, key: PlainKey, idx: u32) {
+        let bucket = match self.buckets.entry(plain_key_digest(&key)) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One((key, vec![idx])));
+                self.groups += 1;
+                return;
+            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        if let Some((_, idxs)) = bucket.groups_mut().iter_mut().find(|(k, _)| *k == key) {
+            idxs.push(idx);
+        } else {
+            bucket.push((key, vec![idx]));
+            self.groups += 1;
         }
     }
 
@@ -486,6 +552,7 @@ impl PlainIndex {
     pub fn get(&self, key: &PlainKey) -> &[u32] {
         match self.buckets.get(&plain_key_digest(key)) {
             Some(bucket) => bucket
+                .groups()
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, idxs)| idxs.as_slice())
@@ -512,6 +579,7 @@ impl PlainIndex {
         };
         match self.buckets.get(&value_key_digest(key)) {
             Some(bucket) => bucket
+                .groups()
                 .iter()
                 .find(|(k, _)| matches(k))
                 .map(|(_, idxs)| idxs.as_slice())
@@ -529,7 +597,7 @@ impl PlainIndex {
     pub fn indexed_rows(&self) -> usize {
         self.buckets
             .values()
-            .flat_map(|b| b.iter())
+            .flat_map(Bucket::groups)
             .map(|(_, idxs)| idxs.len())
             .sum()
     }
@@ -781,6 +849,21 @@ mod tests {
         assert_eq!(one, tup);
         assert_eq!(digest(&one), digest(&tup));
         assert_ne!(a, one);
+    }
+
+    #[test]
+    fn keyed_local_table_groups_like_from_groups() {
+        let int = |n| PlainKey::One(PlainValue::Int(n));
+        let mut idx = PlainIndex::local(4);
+        for (k, i) in [(0, 0), (1, 1), (0, 2), (1, 3)] {
+            idx.push(int(k), i);
+        }
+        assert!(idx.rows.is_none(), "a local table carries no snapshot");
+        assert_eq!(idx.group_count(), 2);
+        assert_eq!(idx.indexed_rows(), 4);
+        assert_eq!(idx.get(&int(0)), &[0, 2]);
+        assert_eq!(idx.get_by_values(&[Value::Int(1)]), &[1, 3]);
+        assert!(PlainIndex::local(0).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! **Tuning knobs for the parallel lane and the index store**, in one
 //! place: every magic size threshold in the workspace lives here as a
-//! named, documented constant with an environment override (for
-//! benching) and — where sessions need to steer it — a thread-local
-//! override (for tests and `Session` configuration).
+//! named, documented constant; the knobs below add an environment
+//! override (for benching) and — where sessions need to steer them — a
+//! thread-local override (for tests and `Session` configuration).
 //!
 //! Resolution order for every knob: thread-local override (set by a
 //! `Session` method or a test) → environment variable (read once per
@@ -11,14 +11,14 @@
 //! | knob | default | env |
 //! |---|---|---|
 //! | worker threads | `available_parallelism` | `MACHIAVELLI_PAR_THREADS` |
-//! | parallel-join build-row cutoff | [`DEFAULT_PAR_JOIN_MIN_BUILD_ROWS`] | `MACHIAVELLI_PAR_JOIN_MIN_ROWS` |
-//! | parallel-join probe-drain cap (× build rows) | [`DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR`] | `MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR` |
-//! | cached-index parallel-probe row cutoff | [`DEFAULT_PAR_PROBE_MIN_ROWS`] | `MACHIAVELLI_PAR_PROBE_MIN_ROWS` |
-//! | parallel-`hom` element cutoff | [`DEFAULT_PAR_HOM_MIN_ITEMS`] | `MACHIAVELLI_PAR_HOM_MIN_ITEMS` |
-//! | columnar morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
-//! | columnar-lane row cutoff | [`DEFAULT_COLUMNAR_MIN_ROWS`] | `MACHIAVELLI_COLUMNAR_MIN_ROWS` |
+//! | fan-out row cutoff (join probe, columnar scan, `hom`) | [`DEFAULT_PAR_MIN_ROWS`] | `MACHIAVELLI_PAR_MIN_ROWS` |
+//! | morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
 //! | index-store row budget | [`DEFAULT_STORE_BUDGET_ROWS`] | `MACHIAVELLI_STORE_BUDGET_ROWS` |
 //! | query tracing (per-operator spans) | off | `MACHIAVELLI_TRACE` |
+//!
+//! The plain-keyed join's probe-drain cap is a constant,
+//! [`PAR_JOIN_MAX_PROBE_FACTOR`] × build rows: it bounds memory, and no
+//! measurement has ever asked for another value.
 //!
 //! (`docs/PERFORMANCE.md` documents every knob alongside the execution
 //! contracts they gate. The tracing knob lives in `machiavelli-trace`
@@ -37,54 +37,33 @@ use std::sync::OnceLock;
 
 // --- documented defaults ---------------------------------------------------
 
-/// Below this many *build-side* rows a hash join never takes the
-/// parallel lane: extraction plus thread-coordination overhead would
-/// swamp the per-row savings. (The probe side is unknown until the
-/// input is drained, so the gate reads the build relation only.)
-pub const DEFAULT_PAR_JOIN_MIN_BUILD_ROWS: usize = 4096;
+/// Below this many rows a plain-lane shape stays on one thread (or, for
+/// `hom` and the columnar scan, on the sequential interpreter path):
+/// the probe side of a plain-keyed hash join, the relation of a
+/// columnar filtered scan, and the set of a proper `hom`. Extraction
+/// plus thread coordination would swamp the per-row savings below it.
+pub const DEFAULT_PAR_MIN_ROWS: usize = 4096;
 
-/// The parallel join materializes the probe side before fanning out
-/// (the sequential probe streams it); to bound that memory, draining
-/// stops after `build_rows × this factor` rows and the join falls back
-/// to the streaming sequential probe over the drained prefix plus the
-/// live remainder. 64 keeps the common shapes (probe within an order
-/// of magnitude of the build) on the lane while capping pathological
+/// A plain-keyed join materializes its probe side before probing (the
+/// sequential probe streams it); to bound that memory, draining stops
+/// after `build_rows × this factor` rows and the join falls back to the
+/// streaming sequential probe over the drained prefix plus the live
+/// remainder. 64 keeps the common shapes (probe within an order of
+/// magnitude of the build) on the lane while capping pathological
 /// pipelines.
-pub const DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
-
-/// Below this many *probe-side* rows a hash join over a **cached**
-/// plain index stays on the sequential probe. Distinct from the
-/// build-row cutoff: a cached probe pays no build at all, so the only
-/// overhead to amortize is probe materialization plus thread
-/// coordination — but the per-row win (skipping the interpreter's key
-/// dispatch) is also smaller than a full build's, so the break-even
-/// lands in the same region.
-pub const DEFAULT_PAR_PROBE_MIN_ROWS: usize = 4096;
-
-/// Below this many elements a proper `hom` application stays on the
-/// sequential interpreter fold.
-pub const DEFAULT_PAR_HOM_MIN_ITEMS: usize = 1024;
-
-/// `par_hom` itself declines to spawn unless every thread would get at
-/// least this many elements (the former inline `2 * n_threads` cutoff).
-pub const PAR_HOM_MIN_ITEMS_PER_THREAD: usize = 2;
+pub const PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
 
 /// Default index-store row budget: generous for the paper-scale
 /// workloads while still bounding a long session that touches many
 /// relations (the store's LRU evicts past it).
 pub const DEFAULT_STORE_BUDGET_ROWS: usize = 1 << 20;
 
-/// Rows per **morsel** — the unit of work the columnar scheduler hands
-/// to (and lets workers steal between) its deques. Small enough that a
-/// skewed filter cannot serialize the pipeline on one slow range, large
+/// Rows per **morsel** — the unit of work the scheduler hands to (and
+/// lets workers steal between) its deques. Small enough that a skewed
+/// filter cannot serialize the pipeline on one slow range, large
 /// enough that per-morsel bookkeeping stays negligible against the
 /// per-row work.
 pub const DEFAULT_MORSEL_ROWS: usize = 2048;
-
-/// Below this many relation rows an eligible pipeline stays on the
-/// sequential path instead of the columnar lane: snapshot lookup plus
-/// thread coordination would swamp the per-row savings.
-pub const DEFAULT_COLUMNAR_MIN_ROWS: usize = 4096;
 
 // --- env-backed resolution -------------------------------------------------
 
@@ -99,11 +78,8 @@ fn env_usize(var: &'static str, cache: &'static OnceLock<Option<usize>>) -> Opti
 
 thread_local! {
     static PAR_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_JOIN_MIN_BUILD_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_PROBE_MIN_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_HOM_MIN_ITEMS: Cell<Option<usize>> = const { Cell::new(None) };
+    static PAR_MIN_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
     static MORSEL_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-    static COLUMNAR_MIN_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
     static PARALLEL_ENABLED: Cell<bool> = const { Cell::new(true) };
     static STORE_EPOCH_CLEAR: Cell<bool> = const { Cell::new(false) };
     static PAR_STATS: Cell<ParStats> = const { Cell::new(ParStats::new()) };
@@ -112,8 +88,9 @@ thread_local! {
 
 /// Worker-thread count for the parallel lane on this thread (= session):
 /// explicit override → `MACHIAVELLI_PAR_THREADS` → the machine's
-/// `available_parallelism`. Always ≥ 1; a value of 1 disables the
-/// parallel lane entirely (everything stays sequential).
+/// `available_parallelism`. Always ≥ 1; at 1 every plain-lane shape
+/// runs inline on the session thread and the columnar scan stays
+/// sequential.
 pub fn par_threads() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
     // `available_parallelism` is a surprisingly expensive probe
@@ -139,64 +116,27 @@ pub fn set_par_threads(n: Option<usize>) -> Option<usize> {
     PAR_THREADS.with(|c| c.replace(n.map(|n| n.max(1))))
 }
 
-/// The parallel-join build-row cutoff currently in force.
-pub fn par_join_min_build_rows() -> usize {
+/// The fan-out row cutoff currently in force (thread-local override →
+/// `MACHIAVELLI_PAR_MIN_ROWS` → [`DEFAULT_PAR_MIN_ROWS`]).
+pub fn par_min_rows() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_JOIN_MIN_BUILD_ROWS
+    PAR_MIN_ROWS
         .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_JOIN_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_PAR_JOIN_MIN_BUILD_ROWS)
+        .or_else(|| env_usize("MACHIAVELLI_PAR_MIN_ROWS", &ENV))
+        .unwrap_or(DEFAULT_PAR_MIN_ROWS)
 }
 
-/// Override the parallel-join cutoff on this thread (tests lower it to
-/// exercise the lane on small relations), returning the previous
-/// override.
-pub fn set_par_join_min_build_rows(n: Option<usize>) -> Option<usize> {
-    PAR_JOIN_MIN_BUILD_ROWS.with(|c| c.replace(n))
+/// Override the fan-out row cutoff on this thread (tests lower it to
+/// exercise the lanes on small inputs), returning the previous override.
+pub fn set_par_min_rows(n: Option<usize>) -> Option<usize> {
+    PAR_MIN_ROWS.with(|c| c.replace(n))
 }
 
-/// How many probe rows the parallel join may materialize for a build
+/// How many probe rows a plain-keyed join may materialize for a build
 /// side of `build_rows` before it bails to the streaming sequential
-/// probe ([`DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR`], env
-/// `MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR`).
+/// probe ([`PAR_JOIN_MAX_PROBE_FACTOR`]).
 pub fn par_join_max_probe_rows(build_rows: usize) -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let factor = env_usize("MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR", &ENV)
-        .unwrap_or(DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR);
-    build_rows.saturating_mul(factor)
-}
-
-/// The cached-index parallel-probe row cutoff currently in force
-/// (thread-local override → `MACHIAVELLI_PAR_PROBE_MIN_ROWS` →
-/// [`DEFAULT_PAR_PROBE_MIN_ROWS`]).
-pub fn par_probe_min_rows() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_PROBE_MIN_ROWS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_PROBE_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_PAR_PROBE_MIN_ROWS)
-}
-
-/// Override the cached-probe cutoff on this thread (tests lower it to
-/// exercise the lane on small relations), returning the previous
-/// override.
-pub fn set_par_probe_min_rows(n: Option<usize>) -> Option<usize> {
-    PAR_PROBE_MIN_ROWS.with(|c| c.replace(n))
-}
-
-/// The parallel-`hom` element cutoff currently in force.
-pub fn par_hom_min_items() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_HOM_MIN_ITEMS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_HOM_MIN_ITEMS", &ENV))
-        .unwrap_or(DEFAULT_PAR_HOM_MIN_ITEMS)
-}
-
-/// Override the parallel-`hom` cutoff on this thread, returning the
-/// previous override.
-pub fn set_par_hom_min_items(n: Option<usize>) -> Option<usize> {
-    PAR_HOM_MIN_ITEMS.with(|c| c.replace(n))
+    build_rows.saturating_mul(PAR_JOIN_MAX_PROBE_FACTOR)
 }
 
 /// The morsel size currently in force (thread-local override →
@@ -214,23 +154,6 @@ pub fn morsel_rows() -> usize {
 /// many morsels over small relations), returning the previous override.
 pub fn set_morsel_rows(n: Option<usize>) -> Option<usize> {
     MORSEL_ROWS.with(|c| c.replace(n.map(|n| n.max(1))))
-}
-
-/// The columnar-lane row cutoff currently in force (thread-local
-/// override → `MACHIAVELLI_COLUMNAR_MIN_ROWS` →
-/// [`DEFAULT_COLUMNAR_MIN_ROWS`]).
-pub fn columnar_min_rows() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    COLUMNAR_MIN_ROWS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_COLUMNAR_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_COLUMNAR_MIN_ROWS)
-}
-
-/// Override the columnar-lane cutoff on this thread, returning the
-/// previous override.
-pub fn set_columnar_min_rows(n: Option<usize>) -> Option<usize> {
-    COLUMNAR_MIN_ROWS.with(|c| c.replace(n))
 }
 
 /// The index-store row budget to use for a fresh store (no thread-local
@@ -273,34 +196,37 @@ pub fn set_store_epoch_clear(on: bool) -> bool {
 
 // --- hit/fallback counters -------------------------------------------------
 
-/// Cumulative parallel-lane counters for this thread (= session),
+/// Cumulative plain-lane counters for this thread (= session),
 /// surfaced by `Session::par_stats` and the REPL's `:stats`.
 ///
-/// A **hit** is an execution that actually ran on the parallel lane. A
-/// **fallback** is an execution that passed the static and size gates
-/// but fell back to the sequential path at runtime — a value failed
-/// `to_plain` extraction (identity- or code-bearing data in a row or
-/// key) or the plain mini-evaluator declined an expression. Executions
-/// that never reach the gates (lane disabled, one thread, sub-threshold
-/// input, shape not eligible) are not counted at all.
+/// A **hit** is an execution that ran on the plain lane — inline at one
+/// worker thread, fanned out over the morsel scheduler at more. A
+/// **fallback** is an execution that passed the static gates but fell
+/// back at runtime — a value failed `to_plain` extraction (identity- or
+/// code-bearing data in a row or key), the plain mini-evaluator
+/// declined an expression, or the probe drain hit its memory cap.
+/// Executions that never reach the lane (lane disabled, shape not
+/// eligible, a `hom` below the row cutoff) are not counted at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParStats {
-    /// Hash joins executed on the parallel lane (inline partition
-    /// build + probe — the uncached shape).
+    /// **Uncached** hash joins that ran on the plain lane end to end:
+    /// the build keyed once on the session thread into a local plain
+    /// table, then the plain probe.
     pub par_joins: u64,
-    /// Eligible hash joins that fell back to the sequential build/probe.
+    /// Uncached hash joins that declined at runtime: a build-side
+    /// decline rebuilds on the `Rc` lane, a probe-side decline probes
+    /// the plain table sequentially.
     pub par_join_fallbacks: u64,
-    /// Hash joins whose probe ran parallel against a **cached** plain
-    /// index (the store-served shape: no build at all, workers probe
-    /// the shared index).
+    /// Hash joins whose plain probe ran against a **store-served**
+    /// plain index (no build at all).
     pub par_probes: u64,
-    /// Cached-probe attempts that fell back to the sequential probe
-    /// (a probe key declined extraction, or the probe drain hit its
-    /// memory cap).
+    /// Store-served probes that fell back to the sequential probe (a
+    /// probe key declined extraction, or the probe drain hit its memory
+    /// cap).
     pub par_probe_fallbacks: u64,
-    /// Proper `hom` applications folded through `par_hom`.
+    /// Proper `hom` applications folded on the plain lane.
     pub par_homs: u64,
-    /// Proper `hom` applications that fell back to the sequential fold.
+    /// Proper `hom` applications that fell back to the interpreter fold.
     pub par_hom_fallbacks: u64,
 }
 
@@ -327,7 +253,8 @@ pub fn reset_par_stats() {
     PAR_STATS.with(|c| c.set(ParStats::new()));
 }
 
-/// Record a parallel-join outcome (`hit` = ran on the parallel lane).
+/// Record an uncached plain-join outcome (`hit` = ran on the plain
+/// lane end to end).
 pub fn note_par_join(hit: bool) {
     PAR_STATS.with(|c| {
         let mut s = c.get();
@@ -340,8 +267,8 @@ pub fn note_par_join(hit: bool) {
     });
 }
 
-/// Record a cached-index parallel-probe outcome (`hit` = the probe ran
-/// on worker threads against the shared plain index).
+/// Record a store-served plain-probe outcome (`hit` = the probe ran on
+/// the plain lane against the cached plain index).
 pub fn note_par_probe(hit: bool) {
     PAR_STATS.with(|c| {
         let mut s = c.get();
@@ -354,7 +281,7 @@ pub fn note_par_probe(hit: bool) {
     });
 }
 
-/// Record a parallel-`hom` outcome (`hit` = folded through `par_hom`).
+/// Record a proper-`hom` outcome (`hit` = folded on the plain lane).
 pub fn note_par_hom(hit: bool) {
     PAR_STATS.with(|c| {
         let mut s = c.get();
@@ -470,25 +397,13 @@ mod tests {
         assert_eq!(par_threads(), 3);
         set_par_threads(prev);
 
-        let prev = set_par_join_min_build_rows(Some(7));
-        assert_eq!(par_join_min_build_rows(), 7);
-        set_par_join_min_build_rows(prev);
-
-        let prev = set_par_probe_min_rows(Some(5));
-        assert_eq!(par_probe_min_rows(), 5);
-        set_par_probe_min_rows(prev);
-
-        let prev = set_par_hom_min_items(Some(9));
-        assert_eq!(par_hom_min_items(), 9);
-        set_par_hom_min_items(prev);
+        let prev = set_par_min_rows(Some(7));
+        assert_eq!(par_min_rows(), 7);
+        set_par_min_rows(prev);
 
         let prev = set_morsel_rows(Some(11));
         assert_eq!(morsel_rows(), 11);
         set_morsel_rows(prev);
-
-        let prev = set_columnar_min_rows(Some(13));
-        assert_eq!(columnar_min_rows(), 13);
-        set_columnar_min_rows(prev);
     }
 
     #[test]
@@ -568,5 +483,40 @@ mod tests {
         );
         reset_par_stats();
         assert_eq!(par_stats(), ParStats::default());
+    }
+
+    /// The `MACHIAVELLI_*` names matched by `prefix` in `text`: an
+    /// upper-case/digit/underscore run after each occurrence.
+    fn knob_names(text: &str, prefix: &str) -> std::collections::BTreeSet<String> {
+        text.match_indices(prefix)
+            .map(|(i, _)| {
+                let rest = &text[i + prefix.len() - "MACHIAVELLI_".len()..];
+                rest.chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn performance_doc_knob_table_matches_resolved_env_knobs() {
+        // Every env knob this module resolves goes through `env_usize`.
+        let resolved = knob_names(include_str!("tuning.rs"), "env_usize(\"MACHIAVELLI_");
+        assert_eq!(resolved.len(), 4, "{resolved:?}");
+        // The knob table: the rows between the `## Tuning knobs`
+        // heading and the first blank line after the table starts.
+        let doc = include_str!("../../../docs/PERFORMANCE.md");
+        let section = &doc[doc.find("## Tuning knobs").expect("knob section")..];
+        let table: String = section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let documented = knob_names(&table, "`MACHIAVELLI_");
+        assert_eq!(
+            documented, resolved,
+            "docs/PERFORMANCE.md's knob table and tuning.rs disagree"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //!   as one morsel batch;
 //! * work stealing actually occurs under a skewed many-morsel workload;
 //! * the whole pipeline composes: a columnar-filtered scan feeds the
-//!   cached parallel probe (store-served plain index);
+//!   plain probe (store-served plain index);
 //! * snapshots cache in the index store and invalidate on rebind.
 
 use machiavelli::eval::set_planner_enabled;
@@ -20,10 +20,10 @@ use machiavelli_bench::scaled_parts_session;
 use proptest::prelude::*;
 
 /// Evaluate `src` with the columnar lane forced live: planner on,
-/// parallel lane on with `t` threads, 1-row columnar cutoff, small
+/// parallel lane on with `t` threads, 1-row fan-out cutoff, small
 /// morsels (so multi-morsel scheduling and stealing are exercised on
 /// small relations). `store` toggles the index store (snapshot caching
-/// and the cached parallel probe downstream). `par = None` disables
+/// and the plain probe downstream). `par = None` disables
 /// the lane entirely (the sequential reference).
 fn run_columnar(
     session: &mut machiavelli::Session,
@@ -36,16 +36,14 @@ fn run_columnar(
     let prev_store = machiavelli::store::set_store_enabled(store);
     let prev_enabled = tuning::set_parallel_enabled(par.is_some());
     let prev_threads = tuning::set_par_threads(par);
-    let prev_cutoff = tuning::set_columnar_min_rows(Some(1));
+    let prev_cutoff = tuning::set_par_min_rows(Some(1));
     let prev_morsel = tuning::set_morsel_rows(Some(4));
-    let prev_probe = tuning::set_par_probe_min_rows(Some(1));
     let out = session
         .eval_one(src)
         .map(|o| show_value(&o.value))
         .map_err(|e| e.to_string());
-    tuning::set_par_probe_min_rows(prev_probe);
     tuning::set_morsel_rows(prev_morsel);
-    tuning::set_columnar_min_rows(prev_cutoff);
+    tuning::set_par_min_rows(prev_cutoff);
     tuning::set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);
     machiavelli::store::set_store_enabled(prev_store);

@@ -12,9 +12,10 @@
 //! * the interpreter's `select`/`join` agree with the native substrate;
 //! * the plain-value lane round-trips (`to_plain`/`from_plain`) and its
 //!   hash/order agree with the `Rc` lane;
-//! * the parallel hash join and `par_hom`-backed folds are
+//! * the plain-keyed hash join and `par_hom`-backed folds are
 //!   result-equivalent to the sequential planner and `select_loop`
-//!   across 1/2/4/8 worker threads, and non-extractable data falls back.
+//!   across 1/2/4/8 worker threads (1 = the same lane inline, with the
+//!   same lane counters), and non-extractable data falls back.
 
 use machiavelli::eval::set_planner_enabled;
 use machiavelli::types::{glb, le, lub, type_eq, Partial};
@@ -422,7 +423,7 @@ proptest! {
         prop_assert_eq!(&from_plain(&pa), &a);
         // …order identically…
         prop_assert_eq!(plain_cmp(&pa, &pb), value_cmp(&a, &b));
-        // …and hash identically (the partition-lane soundness direction).
+        // …and hash identically (the plain-lane soundness direction).
         let dv = |v: &Value| {
             let mut h = DefaultHasher::new();
             machiavelli::value::hash_value(v, &mut h);
@@ -441,10 +442,10 @@ proptest! {
 
 /// Evaluate `src` in `session` with an explicit execution mode:
 /// `planner` toggles plan dispatch, `par` = `Some(t)` forces the
-/// parallel lane on with `t` worker threads and a 1-row join cutoff
+/// plain lane on with `t` worker threads and a 1-row fan-out cutoff
 /// (`None` disables the lane). The store is disabled throughout so
-/// eligible joins route to the parallel lane instead of the index
-/// cache, and every override is restored before returning.
+/// eligible joins build their own plain table instead of hitting the
+/// index cache, and every override is restored before returning.
 fn run_in_mode(
     session: &mut machiavelli::Session,
     src: &str,
@@ -456,14 +457,12 @@ fn run_in_mode(
     let prev_store = machiavelli::store::set_store_enabled(false);
     let prev_enabled = tuning::set_parallel_enabled(par.is_some());
     let prev_threads = tuning::set_par_threads(par);
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
     let out = session
         .eval_one(src)
         .map(|o| machiavelli::value::show_value(&o.value))
         .map_err(|e| e.to_string());
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_join_min_build_rows(prev_rows);
+    tuning::set_par_min_rows(prev_rows);
     tuning::set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);
     machiavelli::store::set_store_enabled(prev_store);
@@ -477,8 +476,8 @@ proptest! {
     // The parallel hash join is result-equivalent to the sequential
     // planner and to `select_loop` across 1/2/4/8 worker threads, on
     // the same seeded comprehension space the planner property uses —
-    // duplicate keys (tiny key spaces) and empty hash partitions
-    // (fewer distinct keys than partitions) arise naturally.
+    // duplicate keys (tiny key spaces) and sparse groups (fewer
+    // distinct keys than rows) arise naturally.
     #[test]
     fn parallel_join_matches_sequential_paths(
         seed in 0u64..u64::MAX / 2,
@@ -490,12 +489,19 @@ proptest! {
         let loop_ref = run_in_mode(&mut session, &src, false, None);
         let seq_ref = run_in_mode(&mut session, &src, true, None);
         prop_assert!(seq_ref == loop_ref, "{src}: {seq_ref:?} vs {loop_ref:?}");
+        let mut one_thread = None;
         for threads in [1usize, 2, 4, 8] {
+            session.par_reset();
             let par = run_in_mode(&mut session, &src, true, Some(threads));
             prop_assert!(
                 par == seq_ref,
                 "{src} @ {threads} threads: {par:?} vs {seq_ref:?}"
             );
+            // The 1-thread run takes the plain lane inline: it engages
+            // (and declines) exactly where the fanned-out runs do.
+            let stats = session.par_stats();
+            let one = *one_thread.get_or_insert(stats);
+            prop_assert!(stats == one, "{src} @ {threads}: {stats:?} vs 1 thread {one:?}");
         }
     }
 
@@ -517,17 +523,26 @@ proptest! {
         let seq_ref = run_in_mode(&mut session, &src, true, None);
         prop_assert!(seq_ref.is_ok(), "{seq_ref:?}");
         for threads in [1usize, 2, 4, 8] {
+            session.par_reset();
             let par = run_in_mode(&mut session, &src, true, Some(threads));
             prop_assert!(par == seq_ref, "{src} @ {threads} threads: {par:?} vs {seq_ref:?}");
+            // All four folds take the plain lane — inline at 1 thread —
+            // whenever the set is non-empty (the cutoff is 1 row).
+            let stats = session.par_stats();
+            let want = if xs.is_empty() { 0 } else { 4 };
+            prop_assert!(
+                (stats.par_homs, stats.par_hom_fallbacks) == (want, 0),
+                "{src} @ {threads} threads: {stats:?}"
+            );
         }
     }
 }
 
 /// Evaluate `src` with the **composed** store+parallel configuration:
 /// store enabled (cacheable builds are served from / inserted into the
-/// session index store), parallel lane on with `t` threads and 1-row
-/// join/probe cutoffs — so store-served plain indexes take the cached
-/// parallel probe. `par = None` keeps the store but disables the lane
+/// session index store), plain lane on with `t` threads and a 1-row
+/// fan-out cutoff — so store-served plain indexes take the plain
+/// probe. `par = None` keeps the store but disables the lane
 /// (the sequential cached probe).
 fn run_composed(
     session: &mut machiavelli::Session,
@@ -539,16 +554,12 @@ fn run_composed(
     let prev_store = machiavelli::store::set_store_enabled(true);
     let prev_enabled = tuning::set_parallel_enabled(par.is_some());
     let prev_threads = tuning::set_par_threads(par);
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_probe = tuning::set_par_probe_min_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
     let out = session
         .eval_one(src)
         .map(|o| machiavelli::value::show_value(&o.value))
         .map_err(|e| e.to_string());
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_probe_min_rows(prev_probe);
-    tuning::set_par_join_min_build_rows(prev_rows);
+    tuning::set_par_min_rows(prev_rows);
     tuning::set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);
     machiavelli::store::set_store_enabled(prev_store);
@@ -577,8 +588,10 @@ proptest! {
         session.store_reset();
         session.run("val side = ref(0);").unwrap();
         let loop_ref = run_in_mode(&mut session, &src, false, None);
+        let mut one_thread = None;
         for threads in [1usize, 2, 4, 8] {
             session.store_reset();
+            session.par_reset();
             // Cold run builds (and caches) the indexes; warm run probes
             // them — in parallel when threads allow.
             let cold = run_composed(&mut session, &src, Some(threads));
@@ -593,6 +606,12 @@ proptest! {
                 after_write == loop_ref,
                 "{src} after unrelated write @ {threads}: {after_write:?} vs {loop_ref:?}"
             );
+            // Lane outcomes do not depend on the thread count: the
+            // 1-thread runs engage the plain lane inline exactly where
+            // the fanned-out runs do.
+            let stats = session.par_stats();
+            let one = *one_thread.get_or_insert(stats);
+            prop_assert!(stats == one, "{src} @ {threads}: {stats:?} vs 1 thread {one:?}");
             // The sequential cached probe agrees too.
             let seq_cached = run_composed(&mut session, &src, None);
             prop_assert!(seq_cached == loop_ref, "{src} seq cached: {seq_cached:?}");
@@ -607,7 +626,7 @@ proptest! {
 }
 
 /// Deterministic composed-lane engagement: a warm plain index probed at
-/// four threads counts `par_probes` (not inline-lane joins), builds
+/// four threads counts `par_probes` (not uncached-join hits), builds
 /// exactly once across runs, and survives unrelated writes.
 #[test]
 fn cached_parallel_probe_engages_counts_and_survives_writes() {
@@ -635,7 +654,7 @@ fn cached_parallel_probe_engages_counts_and_survives_writes() {
     assert_eq!(par, seq);
     let stats = session.par_stats();
     assert!(stats.par_probes >= 1, "cached probe engaged: {stats:?}");
-    assert_eq!(stats.par_joins, 0, "not the inline lane: {stats:?}");
+    assert_eq!(stats.par_joins, 0, "not an uncached join: {stats:?}");
     assert_eq!(stats.par_probe_fallbacks, 0, "{stats:?}");
     let store = session.store_stats();
     assert_eq!(store.builds, 1, "one build across all runs: {store:?}");
@@ -679,16 +698,19 @@ fn parallel_join_falls_back_on_unextractable_keys() {
     let refs_off_key_path = "select (x.K, y.B) where x <- p, y <- q with x.K = y.K;";
     for (query, expect_hit) in [(ref_keys, false), (refs_off_key_path, true)] {
         let seq = run_in_mode(&mut session, query, true, None);
-        session.par_reset();
-        let par = run_in_mode(&mut session, query, true, Some(4));
-        assert_eq!(par, seq, "{query}");
-        let stats = session.par_stats();
-        if expect_hit {
-            assert!(stats.par_joins >= 1, "{query}: {stats:?}");
-            assert_eq!(stats.par_join_fallbacks, 0, "{query}: {stats:?}");
-        } else {
-            assert!(stats.par_join_fallbacks >= 1, "{query}: {stats:?}");
-            assert_eq!(stats.par_joins, 0, "{query}: {stats:?}");
+        // At 1 thread the same lane runs inline and counts the same.
+        for threads in [4usize, 1] {
+            session.par_reset();
+            let par = run_in_mode(&mut session, query, true, Some(threads));
+            assert_eq!(par, seq, "{query}");
+            let stats = session.par_stats();
+            if expect_hit {
+                assert!(stats.par_joins >= 1, "{query}: {stats:?}");
+                assert_eq!(stats.par_join_fallbacks, 0, "{query}: {stats:?}");
+            } else {
+                assert!(stats.par_join_fallbacks >= 1, "{query}: {stats:?}");
+                assert_eq!(stats.par_joins, 0, "{query}: {stats:?}");
+            }
         }
     }
     // The ref-identity join itself answers correctly: only the shared
@@ -716,17 +738,19 @@ fn parallel_join_caps_probe_materialization() {
         .unwrap();
     let q = "select (x.K, y.B) where x <- many, y <- two with x.K = y.K;";
     let seq = run_in_mode(&mut session, q, true, None);
-    session.par_reset();
-    let par = run_in_mode(&mut session, q, true, Some(4));
-    assert_eq!(par, seq);
-    let stats = session.par_stats();
-    assert!(stats.par_join_fallbacks >= 1, "{stats:?}");
-    assert_eq!(stats.par_joins, 0, "{stats:?}");
+    // The cap bounds the inline 1-thread lane exactly like the fan-out.
+    for threads in [4usize, 1] {
+        session.par_reset();
+        let par = run_in_mode(&mut session, q, true, Some(threads));
+        assert_eq!(par, seq);
+        let stats = session.par_stats();
+        assert!(stats.par_join_fallbacks >= 1, "{stats:?}");
+        assert_eq!(stats.par_joins, 0, "{stats:?}");
+    }
 }
 
-/// Duplicate keys and empty partitions, pinned deterministically: many
-/// rows per key on both sides, and a single distinct key so all but one
-/// hash partition is empty.
+/// Duplicate keys and sparse groups, pinned deterministically: many
+/// rows per key on both sides, and a single distinct key on one side.
 #[test]
 fn parallel_join_handles_duplicates_and_empty_partitions() {
     let mut session = machiavelli::Session::new();
@@ -744,9 +768,18 @@ fn parallel_join_handles_duplicates_and_empty_partitions() {
         "select (x.A, y.B) where x <- dups, y <- one with x.K = y.K;",
     ] {
         let seq = run_in_mode(&mut session, query, true, None);
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
+            session.par_reset();
             let par = run_in_mode(&mut session, query, true, Some(threads));
             assert_eq!(par, seq, "{query} @ {threads}");
+            // The lane engages at every thread count, 1 (inline)
+            // included.
+            let stats = session.par_stats();
+            assert_eq!(
+                (stats.par_joins, stats.par_join_fallbacks),
+                (1, 0),
+                "{query} @ {threads}: {stats:?}"
+            );
         }
     }
 }

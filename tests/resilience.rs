@@ -18,12 +18,12 @@ fn eval_par(session: &mut Session, src: &str) -> Result<String, String> {
     let prev_store = machiavelli::store::set_store_enabled(false);
     let prev_enabled = tuning::set_parallel_enabled(true);
     let prev_threads = tuning::set_par_threads(Some(2));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
     let out = session
         .eval_one(src)
         .map(|o| machiavelli::value::show_value(&o.value))
         .map_err(|e| e.to_string());
-    tuning::set_par_join_min_build_rows(prev_rows);
+    tuning::set_par_min_rows(prev_rows);
     tuning::set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);
     machiavelli::store::set_store_enabled(prev_store);

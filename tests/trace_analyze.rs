@@ -164,8 +164,7 @@ fn run_observed(
     let prev_trace = session.set_tracing(Some(traced));
     let prev_enabled = tuning::set_parallel_enabled(true);
     let prev_threads = session.set_par_threads(Some(threads));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
     trace::reset_session_declines();
     let out = session
         .eval_one(src)
@@ -176,8 +175,7 @@ fn run_observed(
         .filter(|(_, n)| *n > 0)
         .map(|(r, n)| (r.code(), n))
         .collect();
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_join_min_build_rows(prev_rows);
+    tuning::set_par_min_rows(prev_rows);
     session.set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);
     session.set_tracing(prev_trace);
