@@ -1,7 +1,9 @@
 //! **The morsel-driven execution scheduler**: the workspace's one
-//! worker pool, shared by the columnar filter offloads
-//! (`plan::physical`), the plain-keyed join probe (`plan::parallel`)
-//! and proper `hom` folds (`relational::par_hom`).
+//! worker pool, shared by the columnar filter over store-cached
+//! snapshots (`plan::physical`), the plain-keyed join probe
+//! (`plan::parallel`) and proper `hom` folds (`relational::par_hom`).
+//! At one thread every caller runs the same morsels inline on the
+//! session thread.
 //!
 //! PR 4's parallel shapes carved their input into one fixed chunk per
 //! worker, so a skewed filter — one chunk where every row matches, the
@@ -231,9 +233,11 @@ where
 /// every row index, returning the **ascending** indices of surviving
 /// rows (per-morsel survivor lists concatenate in morsel order). The
 /// per-worker `init` hook is threaded through as in [`run_tasks`];
-/// `pred` returning `None` poisons the whole run (a runtime decline —
-/// live data the plain evaluator cannot handle), reported as `None` so
-/// the caller can fall back sequentially.
+/// `pred` returning `None` poisons the whole run, reported as `None`.
+/// A poisoned run is either a runtime decline (live data the plain
+/// evaluator cannot handle) or a worker that stopped on a tripped query
+/// guard; only the caller can tell the two apart, so it names the
+/// outcome after its own guard check.
 pub fn filter_indices<S, I, P>(
     threads: usize,
     snapshot: &ColumnarRelation,
@@ -258,18 +262,10 @@ where
     });
     let mut all = Vec::new();
     for part in parts {
-        match part {
-            Some(mut keep) => all.append(&mut keep),
-            None => {
-                // A poisoned morsel is the lane's runtime decline;
-                // reported on the coordinator (= session) thread so the
-                // typed code lands in the session's decline counts.
-                machiavelli_trace::note_decline(
-                    machiavelli_trace::DeclineReason::ColumnarRuntimeDecline,
-                );
-                return (None, stats);
-            }
-        }
+        let Some(mut keep) = part else {
+            return (None, stats);
+        };
+        all.append(&mut keep);
     }
     (Some(all), stats)
 }

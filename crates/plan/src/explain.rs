@@ -33,17 +33,19 @@
 //! (at one thread the same lane runs inline and renders no marker).
 //!
 //! A scan or build side whose pushed filters are statically eligible
-//! for the **columnar morsel lane** (see the crate docs) renders
-//! `Scan[columnar par n=4]` / `Build[columnar par n=4]`. Display-level
-//! again: an actual offload additionally depends on the relation
-//! clearing `MACHIAVELLI_PAR_MIN_ROWS` and every row extracting to
-//! plain form. Two such scans under one join are the
-//! independent-generator schedule — both sides filter as one morsel
-//! batch.
+//! for the **columnar morsel lane** (see the crate docs), over a stable
+//! source with the index store enabled, renders `Scan[columnar par n=4]`
+//! / `Build[columnar par n=4]` when the lane fans out over more than
+//! one thread (at one thread the same filter runs inline and renders no
+//! marker). Display-level again: an actual offload additionally depends
+//! on the relation clearing `MACHIAVELLI_PAR_MIN_ROWS`, fitting the
+//! store's row budget, and every row extracting to plain form. Each
+//! side of a join filters on its own.
 
-use crate::analysis::Conjunct;
+use crate::analysis::{stable_source, Conjunct};
 use crate::physical::{columnar_eligible, IndexKey, ParInfo, PhysOp, PhysicalPlan};
 use machiavelli_store::IndexKind;
+use machiavelli_syntax::ast::Expr;
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
 use std::fmt::Write as _;
@@ -90,12 +92,17 @@ fn par_marker(par: &Option<ParInfo>) -> String {
 }
 
 /// The `[columnar par n=…]` marker for a scan or build side whose
-/// pushed filters are statically eligible for the columnar morsel
-/// lane. Display-level like the par marker: an actual offload
-/// additionally depends on the relation clearing the columnar row
-/// cutoff and every row extracting to plain form.
-fn columnar_marker(filters: &[Conjunct<'_>], var: Symbol) -> String {
-    if columnar_eligible(filters, var) {
+/// pushed filters are statically eligible for the columnar morsel lane
+/// over a stable source, with the store enabled (the lane filters only
+/// store-cached snapshots). Display-level like the par marker: an
+/// actual offload additionally depends on the relation clearing the
+/// row cutoff, fitting the store's budget, and every row extracting to
+/// plain form.
+fn columnar_marker(filters: &[Conjunct<'_>], var: Symbol, source: &Expr) -> String {
+    if columnar_eligible(filters, var)
+        && stable_source(source)
+        && machiavelli_store::store_enabled()
+    {
         if let Some(n) = live_threads() {
             return format!("[columnar par n={n}]");
         }
@@ -133,7 +140,7 @@ pub(crate) fn filters_suffix(filters: &[Conjunct<'_>]) -> String {
 
 /// Comma-joined key expressions for `probe(…)`/`build(…)` lists.
 /// Shared with the executor's trace-span labels.
-pub(crate) fn keys_list(keys: &[&machiavelli_syntax::ast::Expr]) -> String {
+pub(crate) fn keys_list(keys: &[&Expr]) -> String {
     keys.iter()
         .map(|k| expr_to_string(k))
         .collect::<Vec<_>>()
@@ -151,7 +158,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             let _ = writeln!(
                 out,
                 "{pad}Scan{} {var} <- {}{}",
-                columnar_marker(filters, *var),
+                columnar_marker(filters, *var, source),
                 expr_to_string(source),
                 filters_suffix(filters)
             );
@@ -237,14 +244,14 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                         let _ = writeln!(
                             out,
                             "{pad}  Scan{} {var} <- {}{}",
-                            columnar_marker(filters, *var),
+                            columnar_marker(filters, *var, source),
                             expr_to_string(source),
                             filters_suffix(filters)
                         );
                         let _ = writeln!(
                             out,
                             "{pad}  Build{} {pvar} <- {}{}",
-                            columnar_marker(pfilters, *pvar),
+                            columnar_marker(pfilters, *pvar, psource),
                             expr_to_string(psource),
                             filters_suffix(pfilters)
                         );
@@ -269,7 +276,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             let _ = writeln!(
                 out,
                 "{pad}  Build{} {var} <- {}{}",
-                columnar_marker(filters, *var),
+                columnar_marker(filters, *var, source),
                 expr_to_string(source),
                 filters_suffix(filters)
             );
@@ -350,8 +357,9 @@ mod tests {
     #[test]
     fn independent_generators_render_columnar_markers() {
         // Both generators carry binder-closed, par-evaluable pushed
-        // filters: the independent-generator shape — both sides render
-        // columnar, and the executor filters them as one morsel batch.
+        // filters, but their sources are view calls: fresh storage per
+        // evaluation, so no snapshot could ever be reused and neither
+        // side renders the columnar lane.
         machiavelli_store::with_store(|s| s.reset());
         let prev = machiavelli_value::tuning::set_par_threads(Some(4));
         let e = parse_expr(
@@ -373,8 +381,8 @@ mod tests {
             text,
             "Project (x.A, y.B)\n  \
              HashJoin[par n=4] probe(x.K) build(y.K)\n    \
-             Scan[columnar par n=4] x <- V(r) filter (x.A > 1)\n    \
-             Build[columnar par n=4] y <- W(s) filter (y.B > 2)"
+             Scan x <- V(r) filter (x.A > 1)\n    \
+             Build y <- W(s) filter (y.B > 2)"
         );
     }
 

@@ -140,34 +140,34 @@
 //!   effectful result could distinguish.
 //! * **The columnar morsel lane** (`machiavelli-exec`): a `Scan` or
 //!   hash-join build side whose pushed filters are all
-//!   [`parallel::par_evaluable`] under its own binder offloads the
-//!   filter loop onto worker threads. The relation snapshots once into
-//!   a [`machiavelli_value::plain::ColumnarRelation`] — column-major
-//!   when every row is a uniform record, row-major otherwise; cached in
-//!   the index store under the relation's storage identity and adopted
-//!   from the shared tier by content hash — and the rows split into
-//!   fixed-size **morsels** drained by work-stealing workers
-//!   ([`machiavelli_exec::run_tasks`]). `_.field op constant`
-//!   conjuncts compile to per-column comparator loops; everything else
-//!   runs [`parallel::plain_eval`] per row. Only the surviving row
-//!   *indices* return; the session thread rebuilds a canonical
-//!   filterless scan from them (an ascending subset of a canonical
-//!   slice), which is exactly the shape the plain probe's fast path
-//!   keys from — so a Scan→Filter→HashJoin pipeline runs
-//!   end-to-end on worker threads, with only binding and the result
-//!   expression sequential. **Independent generators** — a
-//!   two-generator join where both sides' filters are eligible and the
-//!   build is not already cached — filter both relations as *one*
-//!   morsel batch over the shared pool, no barrier between the scans.
-//!   Gated by more than one worker thread,
-//!   [`machiavelli_value::tuning::par_min_rows`] rows and the usual lane
-//!   switches; any decline (a row with no plain form, a
-//!   strict conjunct evaluating non-boolean, env-dependent predicates)
-//!   falls back to the sequential filter with zero behavior change —
-//!   pushed filters are planner-safe, so the sequential re-run raises
-//!   the identical first error. Rendered `Scan[columnar par n=…]` /
-//!   `Build[columnar par n=…]`; outcomes counted in
-//!   [`machiavelli_value::tuning::exec_stats`].
+//!   [`parallel::par_evaluable`] under its own binder filters over the
+//!   relation's **store-cached** columnar snapshot — a
+//!   [`machiavelli_value::plain::ColumnarRelation`], column-major when
+//!   every row is a uniform record, row-major otherwise, cached in the
+//!   index store under the relation's storage identity and adopted from
+//!   the shared tier by content hash. A snapshot pays only when it is
+//!   reused, so one gate admits the lane: eligible filters, a stable
+//!   source, the lane and the store enabled, and a relation of at least
+//!   [`machiavelli_value::tuning::par_min_rows`] rows within the store's
+//!   row budget; every other scan or build filters on the interpreter.
+//!   The rows split into fixed-size **morsels**, run inline on the
+//!   session thread at one worker thread and drained by work-stealing
+//!   workers ([`machiavelli_exec::run_tasks`]) at more. `_.field op
+//!   constant` conjuncts compile to per-column comparator loops;
+//!   everything else runs [`parallel::plain_eval`] per row. Only the
+//!   surviving row *indices* return; the session thread rebuilds a
+//!   canonical filterless scan from them (an ascending subset of a
+//!   canonical slice), which is exactly the shape the plain probe's
+//!   fast path keys from — so a Scan→Filter→HashJoin pipeline runs
+//!   end-to-end on the plain lanes, with only binding and the result
+//!   expression on the interpreter. Each side of a join filters on its
+//!   own. A runtime decline (a row with no plain form, a strict
+//!   conjunct evaluating non-boolean) falls back to the sequential
+//!   filter with zero behavior change — pushed filters are
+//!   planner-safe, so the sequential re-run raises the identical first
+//!   error. Rendered `Scan[columnar par n=…]` / `Build[columnar par
+//!   n=…]` when it fans out over more than one thread; outcomes counted
+//!   in [`machiavelli_value::tuning::exec_stats`].
 //! * **Proper `hom` applications** (the evaluator's side of the lane):
 //!   `op` one of `+`, `*`, `andalso`, `orelse` with `z` its identity,
 //!   and `f` a one-parameter closure whose body is planner-safe, over a

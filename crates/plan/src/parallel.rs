@@ -565,8 +565,7 @@ impl WorkerCx {
 /// thread: pushed filters prune rows (through [`safe_eval`]), survivors
 /// are keyed by [`extract_key`], and groups hold ascending row indices
 /// (= build-source canonical order, matching the sequential build).
-/// When `keep` is given the columnar lane already ran the filters and
-/// only those rows are keyed. `None` on any decline — a filter or key
+/// `None` on any decline — a filter or key
 /// the safe evaluator declines, a strict filter evaluating non-boolean
 /// (the sequential build raises it), an identity-bearing key — and the
 /// caller rebuilds on the `Rc` lane.
@@ -575,43 +574,25 @@ pub fn build_plain_index(
     var: Symbol,
     filters: &[Conjunct<'_>],
     build_keys: &[&Expr],
-    keep: Option<&[u32]>,
 ) -> Option<PlainIndex> {
-    let rows = items.as_slice();
-    let key_row = |i: usize| {
+    let mut index = PlainIndex::local(items.len());
+    'rows: for (i, row) in items.iter().enumerate() {
         let env = ValueBindings {
-            head: Some((var, &rows[i])),
+            head: Some((var, row)),
             rest: &[],
         };
-        extract_key(build_keys, &env)
-    };
-    let mut index = PlainIndex::local(keep.map_or(rows.len(), <[u32]>::len));
-    match keep {
-        Some(keep) => {
-            for &i in keep {
-                index.push(key_row(i as usize)?, i);
+        for c in filters {
+            match safe_eval(c.expr, &env) {
+                Some(Value::Bool(true)) => {}
+                Some(Value::Bool(false)) => continue 'rows,
+                // A lenient (syntactically last) conjunct rejects the
+                // row on a non-boolean, like the sequential `check`; a
+                // strict one would error.
+                Some(_) if !c.strict => continue 'rows,
+                _ => return None,
             }
         }
-        None => {
-            'rows: for (i, row) in rows.iter().enumerate() {
-                let env = ValueBindings {
-                    head: Some((var, row)),
-                    rest: &[],
-                };
-                for c in filters {
-                    match safe_eval(c.expr, &env) {
-                        Some(Value::Bool(true)) => {}
-                        Some(Value::Bool(false)) => continue 'rows,
-                        // A lenient (syntactically last) conjunct
-                        // rejects the row on a non-boolean, like the
-                        // sequential `check`; a strict one would error.
-                        Some(_) if !c.strict => continue 'rows,
-                        _ => return None,
-                    }
-                }
-                index.push(key_row(i)?, i as u32);
-            }
-        }
+        index.push(extract_key(build_keys, &env)?, i as u32);
     }
     Some(index)
 }
@@ -808,7 +789,7 @@ mod tests {
                 .map(|(i, &k)| row_k(k, i as i64)),
         );
         let key = parse_expr("x.K").unwrap();
-        build_plain_index(&build, Symbol::intern("x"), &[], &[&key], None).unwrap()
+        build_plain_index(&build, Symbol::intern("x"), &[], &[&key]).unwrap()
     }
 
     #[test]
@@ -822,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn build_filters_and_keep_prune_the_local_table() {
+    fn build_filters_prune_the_local_table() {
         let build = MSet::from_iter((0..6).map(|i| row_k(i % 2, i)));
         let x = Symbol::intern("x");
         let key = parse_expr("x.K").unwrap();
@@ -831,19 +812,16 @@ mod tests {
             expr: &filter,
             strict: false,
         }];
-        let index = build_plain_index(&build, x, &filters, &[&key], None).unwrap();
+        let index = build_plain_index(&build, x, &filters, &[&key]).unwrap();
         let one = probe_keys(&[1]);
         assert_eq!(probe_plain(&index, &one, 1), vec![vec![3, 5]]);
-        // A columnar survivor list replaces the filters.
-        let index = build_plain_index(&build, x, &filters, &[&key], Some(&[1])).unwrap();
-        assert_eq!(probe_plain(&index, &one, 1), vec![vec![1]]);
         // A strict filter evaluating non-boolean declines (the
         // sequential build raises it).
         let strict = [Conjunct {
             expr: &key,
             strict: true,
         }];
-        assert!(build_plain_index(&build, x, &strict, &[&key], None).is_none());
+        assert!(build_plain_index(&build, x, &strict, &[&key]).is_none());
     }
 
     #[test]
@@ -860,14 +838,14 @@ mod tests {
         let key = parse_expr("x.K").unwrap();
         assert!(extract_key(&[&key], &env).is_none());
         let build = MSet::from_iter([row]);
-        assert!(build_plain_index(&build, Symbol::intern("x"), &[], &[&key], None).is_none());
+        assert!(build_plain_index(&build, Symbol::intern("x"), &[], &[&key]).is_none());
     }
 
     #[test]
     fn empty_sides_are_fine() {
         let empty = MSet::from_iter(Vec::<Value>::new());
         let key = parse_expr("x.K").unwrap();
-        let index = build_plain_index(&empty, Symbol::intern("x"), &[], &[&key], None).unwrap();
+        let index = build_plain_index(&empty, Symbol::intern("x"), &[], &[&key]).unwrap();
         assert!(index.is_empty());
         assert_eq!(probe_plain(&index, &[], 4), Vec::<Vec<u32>>::new());
         assert_eq!(

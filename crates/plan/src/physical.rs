@@ -46,7 +46,7 @@ use crate::parallel::{
     build_plain_index, extract_key, par_evaluable, plain_binop, plain_eval, probe_plain,
     PlainBindings, ValueBindings, WorkerCx, CHUNK_TICK_MASK,
 };
-use machiavelli_exec::{self as exec, Morsel};
+use machiavelli_exec as exec;
 use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
@@ -54,8 +54,7 @@ use machiavelli_syntax::symbol::Symbol;
 use machiavelli_trace::{self as trace, DeclineReason};
 use machiavelli_value::plain::{ColumnarRelation, PlainIndex, PlainKey, PlainValue};
 use machiavelli_value::tuning::{
-    note_offload, note_par_join, note_par_probe, note_snapshot, par_min_rows, par_threads,
-    parallel_enabled,
+    note_offload, note_par_join, note_par_probe, par_min_rows, par_threads, parallel_enabled,
 };
 use machiavelli_value::{show_value, value_eq, Env, MSet, Value};
 use std::rc::Rc;
@@ -715,96 +714,57 @@ fn as_set<E>(v: Value) -> Result<MSet, ExecError<E>> {
     }
 }
 
-/// Build a hash-join build table: pushed filters prune rows, then each
-/// row is keyed in the *outer* environment extended with only its own
-/// binding (keys mention only this binder). Groups hold **row indices**
-/// into the relation's canonical slice, accumulated in source order
-/// (each group's list ascends) — the executor re-binds matches by
-/// index, and the store can re-represent the whole grouping in plain
-/// form without touching the rows again.
+/// Build a hash-join build table: pushed filters prune rows — on the
+/// columnar lane when it is live for this relation ([`columnar_filter`]),
+/// sequentially otherwise or on a decline — then each surviving row is
+/// keyed in the *outer* environment extended with only its own binding
+/// (keys mention only this binder). Groups hold **row indices** into
+/// the relation's canonical slice, accumulated in source order (each
+/// group's list ascends) — the executor re-binds matches by index, and
+/// the store can re-represent the whole grouping in plain form without
+/// touching the rows again. The columnar survivors are exactly the rows
+/// the sequential filters accept (`plain_eval` agrees with the
+/// interpreter on the par-evaluable class), so either way the table is
+/// the same and sound to cache through the store.
 fn build_join_index<H: EvalHook>(
     items: &MSet,
     var: Symbol,
     filters: &[Conjunct<'_>],
     build_keys: &[&Expr],
+    stable: bool,
     env: &Env,
     hook: &mut H,
 ) -> Result<Index, ExecError<H::Error>> {
+    let keep = columnar_filter(var, filters, items, stable)?;
+    let rows = items.as_slice();
     #[allow(clippy::mutable_key_type)] // refs hash by identity
-    let mut table = Index::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let row_env = env.bind(var, item.clone());
-        if !check_all(filters, &row_env, hook)? {
-            continue;
-        }
+    let mut table = Index::with_capacity(keep.as_ref().map_or(rows.len(), Vec::len));
+    let mut add = |i: u32, row_env: &Env, hook: &mut H| -> Result<(), ExecError<H::Error>> {
         let key = KeyTuple(
             build_keys
                 .iter()
-                .map(|k| hook.eval(&row_env, k))
-                .collect::<Result<_, _>>()?,
-        );
-        table.entry(key).or_default().push(i as u32);
-    }
-    Ok(table)
-}
-
-/// Key pre-filtered build rows: the columnar lane already ran the
-/// pushed filters ([`columnar_filter`]), so only the surviving row
-/// indices are keyed (through the hook, on the session thread). The
-/// result is identical to [`build_join_index`]'s — the survivors are
-/// exactly the rows the sequential filters accept, since `plain_eval`
-/// agrees with the interpreter on the par-evaluable class — so it is
-/// sound to cache through the store.
-fn build_join_index_from<H: EvalHook>(
-    items: &MSet,
-    var: Symbol,
-    keep: &[u32],
-    build_keys: &[&Expr],
-    env: &Env,
-    hook: &mut H,
-) -> Result<Index, ExecError<H::Error>> {
-    #[allow(clippy::mutable_key_type)] // refs hash by identity
-    let mut table = Index::with_capacity(keep.len());
-    for &i in keep {
-        let row_env = env.bind(var, items.as_slice()[i as usize].clone());
-        let key = KeyTuple(
-            build_keys
-                .iter()
-                .map(|k| hook.eval(&row_env, k))
+                .map(|k| hook.eval(row_env, k))
                 .collect::<Result<_, _>>()?,
         );
         table.entry(key).or_default().push(i);
-    }
-    Ok(table)
-}
-
-/// Build the join table, prefiltering on the columnar lane when the
-/// pushed filters are eligible and the lane is live (an outer-`Some`
-/// `keep` passes a finished filter outcome through — the
-/// independent-generator batch). Declines fall back to the ordinary
-/// sequential build.
-#[allow(clippy::too_many_arguments)]
-fn build_join_index_cols<H: EvalHook>(
-    items: &MSet,
-    var: Symbol,
-    filters: &[Conjunct<'_>],
-    build_keys: &[&Expr],
-    stable: bool,
-    keep: Option<Option<Vec<u32>>>,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Index, ExecError<H::Error>> {
-    let keep = match keep {
-        Some(outcome) => outcome,
-        None if columnar_eligible(filters, var) && columnar_live(items.len()) => {
-            columnar_filter(var, filters, items, stable)?
-        }
-        None => None,
+        Ok(())
     };
     match keep {
-        Some(keep) => build_join_index_from(items, var, &keep, build_keys, env, hook),
-        None => build_join_index(items, var, filters, build_keys, env, hook),
+        Some(keep) => {
+            for i in keep {
+                add(i, &env.bind(var, rows[i as usize].clone()), hook)?;
+            }
+        }
+        None => {
+            for (i, item) in rows.iter().enumerate() {
+                let row_env = env.bind(var, item.clone());
+                if check_all(filters, &row_env, hook)? {
+                    add(i as u32, &row_env, hook)?;
+                }
+            }
+        }
     }
+    Ok(table)
 }
 
 /// Build an index-scan grouping: the *whole* relation grouped by the
@@ -869,27 +829,23 @@ pub fn columnar_eligible(filters: &[Conjunct<'_>], var: Symbol) -> bool {
     !filters.is_empty() && filters.iter().all(|c| par_evaluable(c.expr, &[var]))
 }
 
-/// Runtime gate of the columnar lane: enabled, more than one worker,
-/// and the relation over the [`machiavelli_value::tuning::par_min_rows`]
-/// cutoff (snapshot extraction plus scheduling must have enough rows to
-/// amortize over).
-fn columnar_live(rows: usize) -> bool {
-    parallel_enabled() && par_threads() > 1 && rows >= par_min_rows()
-}
-
-/// Obtain a plain columnar snapshot of `items`: through the session's
-/// index store — and the shared tier behind it — when the source is
-/// `stable` (repeated queries then reuse one snapshot per relation),
-/// built directly for fresh-storage sources, whose snapshot could never
-/// be looked up again. `None` when any row has no plain form: the whole
-/// lane declines.
-fn columnar_snapshot(items: &MSet, stable: bool) -> Option<Arc<ColumnarRelation>> {
-    if store_enabled() && stable {
-        return with_store(|s| s.snapshot(items));
-    }
-    let snap = Arc::new(ColumnarRelation::from_set(items)?);
-    note_snapshot(false);
-    Some(snap)
+/// The one gate of the columnar lane. A columnar snapshot is a
+/// specialisation of a relation that persists across queries, and it
+/// pays only when it is reused, so the lane runs only over snapshots the
+/// index store caches: the pushed filters are eligible
+/// ([`columnar_eligible`]), the source is `stable` (it shares storage
+/// across evaluations), the lane and the store are enabled, and the
+/// relation has at least [`machiavelli_value::tuning::par_min_rows`]
+/// rows and fits the store's row budget. Any thread count qualifies;
+/// at one thread the filter runs inline. Every other scan or build
+/// filters sequentially and counts as neither an offload nor a fallback.
+fn columnar_live(filters: &[Conjunct<'_>], var: Symbol, items: &MSet, stable: bool) -> bool {
+    stable
+        && parallel_enabled()
+        && store_enabled()
+        && columnar_eligible(filters, var)
+        && items.len() >= par_min_rows()
+        && items.len() <= with_store(|s| s.budget_rows())
 }
 
 /// One compiled filter conjunct of a columnar scan.
@@ -1014,20 +970,29 @@ fn row_passes(
 }
 
 /// Run binder-closed pushed filters over `items` on the morsel-driven
-/// columnar lane. `Ok(None)` is a decline — a row with no plain form,
-/// or live data a conjunct cannot handle — and the caller takes the
-/// sequential path, with zero behavior change. `Ok(Some(keep))` holds
-/// the **ascending** indices of surviving rows. Workers poll the
-/// coordinator's (sticky) query guard every [`CHUNK_TICK_MASK`]+1 rows;
-/// a trip poisons the run and [`run_par`] surfaces it as `Interrupted`
-/// before the result can be used.
+/// columnar lane when it is live for this relation ([`columnar_live`]),
+/// against the store-cached snapshot of the relation (through the
+/// shared tier behind it). `Ok(None)` means the caller takes the
+/// sequential path, with zero behavior change: the lane was not live,
+/// or it declined — a row with no plain form, or live data a conjunct
+/// cannot handle. `Ok(Some(keep))` holds the **ascending** indices of
+/// surviving rows.
+/// At one thread the morsels run inline on the session thread (no
+/// worker fail point); at more they fan out over the scheduler. Either
+/// way the loop polls the (sticky) query guard every
+/// [`CHUNK_TICK_MASK`]+1 rows; a trip poisons the run and [`run_par`]
+/// surfaces it as `Interrupted` before the result can be used — and
+/// before a poisoned run is counted as a decline.
 fn columnar_filter<E>(
     var: Symbol,
     filters: &[Conjunct<'_>],
     items: &MSet,
     stable: bool,
 ) -> Result<Option<Vec<u32>>, ExecError<E>> {
-    let Some(snap) = columnar_snapshot(items, stable) else {
+    if !columnar_live(filters, var, items, stable) {
+        return Ok(None);
+    }
+    let Some(snap) = with_store(|s| s.snapshot(items)) else {
         note_offload(false);
         trace::note_decline(DeclineReason::ColumnarSnapshotExtract);
         return Ok(None);
@@ -1036,13 +1001,16 @@ fn columnar_filter<E>(
         .iter()
         .map(|c| ColPred::compile(c, var, &snap))
         .collect();
+    let threads = par_threads();
     let cx = WorkerCx::capture();
     let keep = run_par(|| {
         let (keep, _) = exec::filter_indices(
-            par_threads(),
+            threads,
             &snap,
             || {
-                cx.enter();
+                if threads > 1 {
+                    cx.enter();
+                }
                 0u64
             },
             |ticks: &mut u64, i| {
@@ -1055,142 +1023,36 @@ fn columnar_filter<E>(
         );
         keep
     })?;
+    if keep.is_none() {
+        trace::note_decline(DeclineReason::ColumnarRuntimeDecline);
+    }
     note_offload(keep.is_some());
     Ok(keep)
 }
 
-/// Filter two **independent** relations as one morsel batch: the
-/// independent-generator schedule. Neither side's filters mention the
-/// other's binder (each is closed under its own), so their morsels are
-/// order-free and share the worker pool — workers drain whichever side
-/// still has rows instead of barriering between the two scans. Each
-/// side declines independently (`None` in its slot); the other side's
-/// survivors remain valid.
-#[allow(clippy::type_complexity)]
-fn columnar_filter_pair<E>(
-    a: (Symbol, &[Conjunct<'_>], &MSet, bool),
-    b: (Symbol, &[Conjunct<'_>], &MSet, bool),
-) -> Result<(Option<Vec<u32>>, Option<Vec<u32>>), ExecError<E>> {
-    let snaps = [columnar_snapshot(a.2, a.3), columnar_snapshot(b.2, b.3)];
-    let preds: Vec<Option<Vec<ColPred<'_, '_>>>> = [&a, &b]
-        .iter()
-        .zip(&snaps)
-        .map(|((var, filters, _, _), snap)| {
-            snap.as_ref().map(|s| {
-                filters
-                    .iter()
-                    .map(|c| ColPred::compile(c, *var, s))
-                    .collect()
-            })
-        })
-        .collect();
-    let vars = [a.0, b.0];
-    // Interleave the two sides' morsels into one task list; results
-    // come back in task order, so each side's survivor lists
-    // reassemble ascending.
-    let mut tasks: Vec<(usize, Morsel)> = Vec::new();
-    for (side, snap) in snaps.iter().enumerate() {
-        if let Some(snap) = snap {
-            tasks.extend(exec::morsels(snap.len()).into_iter().map(|m| (side, m)));
-        }
-    }
-    let cx = WorkerCx::capture();
-    let parts = run_par(|| {
-        let (parts, _) = exec::run_tasks(
-            par_threads(),
-            tasks,
-            || {
-                cx.enter();
-                0u64
-            },
-            |ticks: &mut u64, (side, m): (usize, Morsel)| {
-                let snap = snaps[side].as_deref().expect("task exists only with snap");
-                let preds = preds[side].as_deref().expect("compiled with snap");
-                let mut keep = Vec::new();
-                for i in m.start..m.end {
-                    *ticks += 1;
-                    if *ticks & CHUNK_TICK_MASK as u64 == 0 && cx.tripped() {
-                        return (side, None);
-                    }
-                    match row_passes(preds, snap, vars[side], i) {
-                        Some(true) => keep.push(i as u32),
-                        Some(false) => {}
-                        None => return (side, None),
-                    }
-                }
-                (side, Some(keep))
-            },
-        );
-        parts
-    })?;
-    // Reassemble per side: a poisoned morsel declines its whole side.
-    let mut out: [Option<Option<Vec<u32>>>; 2] = [
-        snaps[0].as_ref().map(|_| Some(Vec::new())),
-        snaps[1].as_ref().map(|_| Some(Vec::new())),
-    ];
-    for (side, part) in parts {
-        if let Some(acc) = &mut out[side] {
-            match (acc, part) {
-                (Some(acc), Some(mut keep)) => acc.append(&mut keep),
-                (acc, None) => *acc = None,
-                (None, _) => {}
-            }
-        }
-    }
-    let [ka, kb] = out;
-    let (ka, kb) = (ka.flatten(), kb.flatten());
-    // Per-side decline codes: no snapshot means the relation declined
-    // plain extraction; a snapshot with no survivors list means a
-    // worker's morsel poisoned at runtime (the single-scan path reports
-    // the same code from `exec::filter_indices`).
-    for (side, keep) in [(0, &ka), (1, &kb)] {
-        if keep.is_none() {
-            trace::note_decline(if snaps[side].is_none() {
-                DeclineReason::ColumnarSnapshotExtract
-            } else {
-                DeclineReason::ColumnarRuntimeDecline
-            });
-        }
-    }
-    note_offload(ka.is_some());
-    note_offload(kb.is_some());
-    Ok((ka, kb))
-}
-
-/// Open a `Scan` node, offloading its pushed filters onto the columnar
-/// lane when they are statically eligible, the lane is live, and the
-/// relation clears the row cutoff. On success the surviving rows — an
-/// ascending subset of the canonical slice, so itself canonical —
+/// Open a `Scan` node, filtering on the columnar lane when it is live
+/// for this relation ([`columnar_filter`]). On success the surviving rows
+/// — an ascending subset of the canonical slice, so itself canonical —
 /// become a **filterless** scan over a fresh [`MSet`]: exactly the
-/// shape [`open_plain_probe`]'s fast path keys raw rows from, so
-/// the whole Scan→Filter→Join pipeline composes onto the lane. Any
-/// decline yields the ordinary filtered scan with zero behavior change.
-/// An outer-`Some` `keep` short-circuits the filter run: the caller
-/// already ran it (the independent-generator batch) and passes its
-/// outcome — survivors or a decline — through.
+/// shape [`open_plain_probe`]'s fast path keys raw rows from, so the
+/// whole Scan→Filter→Join pipeline composes onto the lane. Any decline
+/// yields the ordinary filtered scan with zero behavior change.
 fn open_scan_node<'p, E>(
     var: Symbol,
     filters: &'p [Conjunct<'p>],
     source: &Expr,
     env: &Env,
     items: MSet,
-    keep: Option<Option<Vec<u32>>>,
 ) -> Result<Node<'p>, ExecError<E>> {
-    let keep = match keep {
-        Some(outcome) => outcome,
-        None if columnar_eligible(filters, var) && columnar_live(items.len()) => {
-            columnar_filter(var, filters, &items, stable_source(source))?
-        }
-        None => None,
-    };
+    let keep = columnar_filter(var, filters, &items, stable_source(source))?;
     Ok(match keep {
         Some(keep) => {
-            // The offload happened: this scan's filters ran as columnar
-            // morsels on worker threads.
-            trace::annotate_lane(
-                trace::current_span(),
-                trace::Lane::Columnar(par_threads() as u32),
-            );
+            // An inline run stayed on the session thread: its span
+            // keeps `seq`.
+            let threads = par_threads();
+            if threads > 1 {
+                trace::annotate_lane(trace::current_span(), trace::Lane::Columnar(threads as u32));
+            }
             let rows = items.as_slice();
             let filtered = MSet::from_sorted_unchecked(
                 keep.iter().map(|&i| rows[i as usize].clone()).collect(),
@@ -1214,23 +1076,22 @@ fn open_scan_node<'p, E>(
 }
 
 /// [`open_scan_node`] under its own trace span, mirroring what
-/// [`Node::open`] does for dispatched operators: the hash-join arms
-/// destructure their probe `Scan` and open it directly, so without this
-/// twin the probe side would vanish from the trace tree.
+/// [`Node::open`] does for dispatched operators: the swapped hash-join
+/// arm destructures its probe `Scan` and opens it directly, so without
+/// this twin the probe side would vanish from the trace tree.
 fn open_scan_traced<'p, E>(
     var: Symbol,
     filters: &'p [Conjunct<'p>],
     source: &Expr,
     env: &Env,
     items: MSet,
-    keep: Option<Option<Vec<u32>>>,
 ) -> Result<Node<'p>, ExecError<E>> {
     if !trace::active() {
-        return open_scan_node(var, filters, source, env, items, keep);
+        return open_scan_node(var, filters, source, env, items);
     }
     let sid = trace::open_op_with(|| scan_label(var, source, filters));
     let t0 = trace::now_ns();
-    let node = open_scan_node(var, filters, source, env, items, keep);
+    let node = open_scan_node(var, filters, source, env, items);
     trace::close_op(sid, trace::now_ns().saturating_sub(t0));
     Ok(match (sid, node?) {
         (Some(sid), inner) => Node::Traced {
@@ -1260,7 +1121,6 @@ fn open_keyed_join<'p, H: EvalHook>(
     fingerprint: Option<&str>,
     par: Option<&'p ParInfo>,
     stable: bool,
-    build_keep: Option<Option<Vec<u32>>>,
     env: &Env,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
@@ -1272,19 +1132,12 @@ fn open_keyed_join<'p, H: EvalHook>(
         (Some(fp), _) => obtain_index(
             &items,
             fp,
-            |hook| {
-                build_join_index_cols(
-                    &items, var, filters, build_keys, stable, build_keep, env, hook,
-                )
-            },
+            |hook| build_join_index(&items, var, filters, build_keys, stable, env, hook),
             hook,
         )?,
-        // Uncached plain build: key once on the session thread. A
-        // columnar survivor list (the independent-generator batch)
-        // stands in for the filters.
+        // Uncached plain build: key once on the session thread.
         (None, Some(info)) if info.build_ok => {
-            let keep = build_keep.as_ref().and_then(|k| k.as_deref());
-            match build_plain_index(&items, var, filters, build_keys, keep) {
+            match build_plain_index(&items, var, filters, build_keys) {
                 Some(index) => {
                     let index = Arc::new(index);
                     return open_plain_probe(
@@ -1294,15 +1147,15 @@ fn open_keyed_join<'p, H: EvalHook>(
                 None => {
                     note_par_join(false);
                     trace::note_decline(DeclineReason::ParJoinBuildExtract);
-                    CachedIndex::Local(Rc::new(build_join_index_cols(
-                        &items, var, filters, build_keys, stable, build_keep, env, hook,
+                    CachedIndex::Local(Rc::new(build_join_index(
+                        &items, var, filters, build_keys, stable, env, hook,
                     )?))
                 }
             }
         }
         // Environment-dependent build: construct inline.
-        (None, _) => CachedIndex::Local(Rc::new(build_join_index_cols(
-            &items, var, filters, build_keys, stable, build_keep, env, hook,
+        (None, _) => CachedIndex::Local(Rc::new(build_join_index(
+            &items, var, filters, build_keys, stable, env, hook,
         )?)),
     };
     match (&table, par) {
@@ -1669,7 +1522,7 @@ impl<'p> Node<'p> {
                 filters,
             } => {
                 let items = as_set(hook.eval(env, source)?)?;
-                open_scan_node(*var, filters, source, env, items, None)?
+                open_scan_node(*var, filters, source, env, items)?
             }
             PhysOp::IndexScan {
                 var,
@@ -1796,9 +1649,8 @@ impl<'p> Node<'p> {
                             // relation builds (keyed by the old probe
                             // expressions, its pushed filters baked
                             // in), the second streams as the probe.
-                            let probe_node = Box::new(open_scan_traced(
-                                *var, filters, source, env, second, None,
-                            )?);
+                            let probe_node =
+                                Box::new(open_scan_traced(*var, filters, source, env, second)?);
                             open_keyed_join(
                                 probe_node,
                                 first,
@@ -1809,14 +1661,12 @@ impl<'p> Node<'p> {
                                 Some(&sw.fingerprint),
                                 sw.par.as_ref(),
                                 stable_source(psource),
-                                None,
                                 env,
                                 hook,
                             )
                         } else {
-                            let input = Box::new(open_scan_traced(
-                                *pvar, pfilters, psource, env, first, None,
-                            )?);
+                            let input =
+                                Box::new(open_scan_traced(*pvar, pfilters, psource, env, first)?);
                             open_keyed_join(
                                 input,
                                 second,
@@ -1827,62 +1677,14 @@ impl<'p> Node<'p> {
                                 fingerprint.as_deref(),
                                 par.as_ref(),
                                 stable_source(source),
-                                None,
                                 env,
                                 hook,
                             )
                         };
                     }
                 }
-                // Independent generators: a bare `Scan` probe side has
-                // no dependency on the build binder, so both sources
-                // evaluate up front (generator order) and — when the
-                // build index is not already cached (a hit skips the
-                // build filters entirely, so prefiltering would be
-                // wasted work) and both relations clear the columnar
-                // gates — both sides' pushed filters run as **one**
-                // morsel batch over the shared worker pool.
-                let (input, items, build_keep) = if let PhysOp::Scan {
-                    var: svar,
-                    source: ssource,
-                    filters: sfilters,
-                } = input.as_ref()
-                {
-                    let pitems = as_set(hook.eval(env, ssource)?)?;
-                    let bitems = as_set(hook.eval(env, source)?)?;
-                    let cached = fingerprint
-                        .as_ref()
-                        .is_some_and(|fp| with_store(|s| s.peek(&bitems, fp)));
-                    if !cached
-                        && columnar_eligible(sfilters, *svar)
-                        && columnar_eligible(filters, *var)
-                        && columnar_live(pitems.len())
-                        && columnar_live(bitems.len())
-                    {
-                        let (pkeep, bkeep) = columnar_filter_pair(
-                            (*svar, sfilters, &pitems, stable_source(ssource)),
-                            (*var, filters, &bitems, stable_source(source)),
-                        )?;
-                        let input = Box::new(open_scan_traced(
-                            *svar,
-                            sfilters,
-                            ssource,
-                            env,
-                            pitems,
-                            Some(pkeep),
-                        )?);
-                        (input, bitems, Some(bkeep))
-                    } else {
-                        let input = Box::new(open_scan_traced(
-                            *svar, sfilters, ssource, env, pitems, None,
-                        )?);
-                        (input, bitems, None)
-                    }
-                } else {
-                    let input = Box::new(Node::open(input, env, hook)?);
-                    let items = as_set(hook.eval(env, source)?)?;
-                    (input, items, None)
-                };
+                let input = Box::new(Node::open(input, env, hook)?);
+                let items = as_set(hook.eval(env, source)?)?;
                 open_keyed_join(
                     input,
                     items,
@@ -1893,7 +1695,6 @@ impl<'p> Node<'p> {
                     fingerprint.as_deref(),
                     par.as_ref(),
                     stable_source(source),
-                    build_keep,
                     env,
                     hook,
                 )?

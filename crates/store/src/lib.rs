@@ -668,8 +668,10 @@ impl IndexStore {
 
     /// Fetch (or extract) the columnar snapshot of `set` for the
     /// execution lane. `None` means the relation has no plain form
-    /// (some row carries a ref/dynamic/closure) — the caller falls back
-    /// to sequential evaluation. A hit returns the cached `Arc` without
+    /// (some row carries a ref/dynamic/closure) or exceeds the row
+    /// budget (a snapshot that could not be cached would be extracted
+    /// for one query and thrown away) — the caller falls back to
+    /// sequential evaluation. A hit returns the cached `Arc` without
     /// touching a single row; a miss extracts via
     /// [`ColumnarRelation::from_set`] (adopting a verified equal-content
     /// snapshot from the shared tier first, when enabled) and caches the
@@ -689,8 +691,11 @@ impl IndexStore {
             self.stats.snapshot_hits += 1;
             return Some(e.snap.clone());
         }
-        self.stats.snapshot_misses += 1;
         let charge = set.len();
+        if charge > self.budget_rows {
+            return None;
+        }
+        self.stats.snapshot_misses += 1;
         // Hash the content once; adoption and publication share it.
         let content = shared::shared_enabled().then(|| shared::content_hash(set));
         let (snap, adopted) = match content.and_then(|c| shared::adopt_snapshot(c, set)) {
@@ -704,10 +709,6 @@ impl IndexStore {
             }
         };
         machiavelli_value::tuning::note_snapshot(adopted);
-        if charge > self.budget_rows {
-            // Usable by the calling query, but never pinned.
-            return Some(snap);
-        }
         self.evict_snapshots_to(self.budget_rows.saturating_sub(charge));
         self.snapshots.insert(
             set.storage_id(),
@@ -1319,8 +1320,8 @@ mod tests {
     fn snapshot_respects_budget_and_paranoid_clear() {
         let mut st = IndexStore::new(2);
         let over = ints(&[1, 2, 3]);
-        // Over budget: usable but never pinned.
-        assert!(st.snapshot(&over).is_some());
+        // Over budget: never extracted, never pinned.
+        assert!(st.snapshot(&over).is_none());
         assert_eq!(st.stats().snapshot_entries, 0);
         let fits = ints(&[4, 5]);
         assert!(st.snapshot(&fits).is_some());

@@ -89,8 +89,7 @@ thread_local! {
 /// Worker-thread count for the parallel lane on this thread (= session):
 /// explicit override → `MACHIAVELLI_PAR_THREADS` → the machine's
 /// `available_parallelism`. Always ≥ 1; at 1 every plain-lane shape
-/// runs inline on the session thread and the columnar scan stays
-/// sequential.
+/// and the columnar filter run inline on the session thread.
 pub fn par_threads() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
     // `available_parallelism` is a surprisingly expensive probe

@@ -7,8 +7,11 @@
 //!   duplicates, empty survivor sets arise naturally);
 //! * declines fall back with zero behavior change and are counted
 //!   (identity-bearing rows, env-dependent predicates);
-//! * the independent-generator schedule filters both sides of a join
-//!   as one morsel batch;
+//! * the lane filters only store-cached snapshots: view-call sources,
+//!   a disabled store and relations over the store's budget skip it
+//!   without counting anything;
+//! * at one thread the same lane runs inline, with the same offloads;
+//! * both sides of a join filter on the lane, each on its own;
 //! * work stealing actually occurs under a skewed many-morsel workload;
 //! * the whole pipeline composes: a columnar-filtered scan feeds the
 //!   plain probe (store-served plain index);
@@ -163,6 +166,18 @@ fn columnar_scan_engages_and_counts() {
     let es = session.exec_stats();
     assert_eq!(es.snapshots_built, 1, "snapshot cached across runs: {es:?}");
     assert!(es.offloads >= 2, "{es:?}");
+    // One thread: the same lane over the same cached snapshot, run
+    // inline on the session thread — the same offloads as at four.
+    session.exec_reset();
+    assert_eq!(run_columnar(&mut session, q, true, Some(4)), seq);
+    let four = session.exec_stats();
+    session.exec_reset();
+    assert_eq!(run_columnar(&mut session, q, true, Some(1)), seq);
+    let one = session.exec_stats();
+    assert_eq!(one.offloads, four.offloads, "{one:?} vs {four:?}");
+    assert_eq!(one.offload_fallbacks, 0, "{one:?}");
+    assert!(one.morsels_executed > 0, "{one:?}");
+    assert_eq!(one.morsels_stolen, 0, "inline runs steal nothing: {one:?}");
 }
 
 /// Work stealing occurs under a skewed workload: all rows land in the
@@ -181,7 +196,7 @@ fn columnar_morsels_are_stolen_under_skew() {
     let q = "select x.K where x <- big with x.K >= 0 andalso x.K < 999;";
     let seq = run_columnar(&mut session, q, false, None);
     session.exec_reset();
-    let col = run_columnar(&mut session, q, false, Some(4));
+    let col = run_columnar(&mut session, q, true, Some(4));
     assert_eq!(col, seq);
     let es = session.exec_stats();
     // 256 rows / 4-row morsels = 64 tasks round-robined over 4 deques:
@@ -206,18 +221,19 @@ fn columnar_lane_declines_identity_bearing_rows() {
     let q = "select x.R where x <- r with x.K > 1;";
     let seq = run_columnar(&mut session, q, false, None);
     session.exec_reset();
-    let col = run_columnar(&mut session, q, false, Some(4));
+    let col = run_columnar(&mut session, q, true, Some(4));
     assert_eq!(col, seq);
     let es = session.exec_stats();
     assert!(es.offload_fallbacks >= 1, "{es:?}");
     assert_eq!(es.offloads, 0, "{es:?}");
     // The surviving refs are the *same* identities the sequential path
     // yields: `=` on refs is identity, so the shared `d` must be a
-    // member of the declined-lane result.
+    // member of the declined-lane result. (A range filter: with the
+    // store on, `x.K = 3` would be answered by an index scan instead.)
     run_columnar(
         &mut session,
-        "val out = select x.R where x <- r with x.K = 3;",
-        false,
+        "val out = select x.R where x <- r with x.K > 2;",
+        true,
         Some(4),
     )
     .unwrap();
@@ -244,16 +260,17 @@ fn columnar_lane_skips_env_dependent_filters() {
     let q = "select x.K where x <- r with x.K > cutoff;";
     let seq = run_columnar(&mut session, q, false, None);
     session.exec_reset();
-    let col = run_columnar(&mut session, q, false, Some(4));
+    let col = run_columnar(&mut session, q, true, Some(4));
     assert_eq!(col, seq);
     let es = session.exec_stats();
     assert_eq!((es.offloads, es.offload_fallbacks), (0, 0), "{es:?}");
 }
 
-/// The independent-generator schedule: both sides of a two-generator
-/// join carry eligible filters, so both relations filter as one morsel
-/// batch (two offloads in a single query) and the join result is
-/// unchanged.
+/// Both sides of a two-generator join over named relations carry
+/// eligible filters: on a cold store the probe-side scan and the build
+/// side each filter on the columnar lane, each on its own path (two
+/// offloads in a single query), and the join result is unchanged. At
+/// one thread the same two offloads run inline.
 #[test]
 fn independent_generators_filter_as_one_batch() {
     let mut session = machiavelli::Session::new();
@@ -275,12 +292,71 @@ fn independent_generators_filter_as_one_batch() {
              with x.A > 4 andalso x.K = y.K andalso y.B < 20;";
     let seq = run_columnar(&mut session, q, false, None);
     session.exec_reset();
-    // Store *off*: the uncached-build pair arm runs both sides.
-    let col = run_columnar(&mut session, q, false, Some(4));
+    // Cold store: the build side is not cached, so its filters run.
+    let col = run_columnar(&mut session, q, true, Some(4));
     assert_eq!(col, seq);
     let es = session.exec_stats();
     assert_eq!(es.offloads, 2, "both sides offload: {es:?}");
     assert_eq!(es.offload_fallbacks, 0, "{es:?}");
+    session.store_reset();
+    session.exec_reset();
+    assert_eq!(run_columnar(&mut session, q, true, Some(1)), seq);
+    let one = session.exec_stats();
+    assert_eq!(one.offloads, es.offloads, "{one:?} vs {es:?}");
+    assert_eq!(one.offload_fallbacks, 0, "{one:?}");
+    assert!(one.morsels_executed > 0, "{one:?}");
+}
+
+/// The lane filters only store-cached snapshots. A view-call source
+/// constructs fresh storage per evaluation (its snapshot could never be
+/// reused), a disabled store caches nothing, and a relation over the
+/// store's row budget could not be pinned: each scan filters
+/// sequentially and counts as neither an offload nor a fallback, and
+/// no snapshot is extracted. Results agree with `select_loop`.
+#[test]
+fn columnar_lane_skips_uncacheable_snapshots() {
+    let mut session = machiavelli::Session::new();
+    session.store_reset();
+    let rows: String = (0..64)
+        .map(|i| format!("[K={i}, A={}]", i * 2))
+        .collect::<Vec<_>>()
+        .join(", ");
+    session
+        .run(&format!("val r = {{{rows}}}; fun V(s) = union(s, {{}});"))
+        .unwrap();
+    let scan = "select x.A where x <- r with x.K > 10 andalso x.K < 50;";
+    let view = "select x.A where x <- V(r) with x.K > 10 andalso x.K < 50;";
+    let counts = |session: &machiavelli::Session| {
+        let es = session.exec_stats();
+        (es.offloads, es.offload_fallbacks, es.snapshots_built)
+    };
+    for threads in [1, 4] {
+        // A view-call source, store on.
+        session.exec_reset();
+        let col = run_columnar(&mut session, view, true, Some(threads));
+        assert_eq!(col, run_loop_ref(&mut session, view));
+        assert_eq!(counts(&session), (0, 0, 0), "view @ {threads}");
+        // A named relation, store off.
+        session.exec_reset();
+        let col = run_columnar(&mut session, scan, false, Some(threads));
+        assert_eq!(col, run_loop_ref(&mut session, scan));
+        assert_eq!(counts(&session), (0, 0, 0), "store off @ {threads}");
+        // A named relation over the store's row budget.
+        session.store_reset();
+        session.exec_reset();
+        let budget = machiavelli::store::with_store(|st| st.budget_rows());
+        machiavelli::store::with_store(|st| st.set_budget(63));
+        let col = run_columnar(&mut session, scan, true, Some(threads));
+        machiavelli::store::with_store(|st| st.set_budget(budget));
+        assert_eq!(col, run_loop_ref(&mut session, scan));
+        assert_eq!(counts(&session), (0, 0, 0), "over budget @ {threads}");
+    }
+    // The same scan within the budget engages: the skips above are the
+    // gate, not a dead lane.
+    session.store_reset();
+    session.exec_reset();
+    run_columnar(&mut session, scan, true, Some(4)).unwrap();
+    assert_eq!(counts(&session), (1, 0, 1));
 }
 
 /// Whole-pipeline composition: the columnar-filtered scan yields a

@@ -58,8 +58,8 @@ fn fig9_view_call_join_renders_the_parallel_marker_at_four_threads() {
     // parallel lane: both key closures are plain-evaluable, so the
     // next execution fans out (once the build side clears the row
     // cutoff) — `explain` renders the configured worker count. The
-    // build side's pushed filter is binder-closed and par-evaluable,
-    // so it additionally advertises the columnar morsel lane.
+    // build side's pushed filter is par-evaluable, but a view call's
+    // snapshot could never be reused, so no columnar marker renders.
     assert_eq!(
         plan_par4(
             "select [Name = s.Name, Salary = e.Salary]
@@ -69,17 +69,16 @@ fn fig9_view_call_join_renders_the_parallel_marker_at_four_threads() {
         "Project [Name=s.Name, Salary=e.Salary]\n  \
          HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
          Scan s <- StudentView(persons)\n    \
-         Build[columnar par n=4] e <- EmployeeView(persons) filter (e.Salary > 1000)"
+         Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
 }
 
 #[test]
 fn independent_generators_both_render_columnar_at_four_threads() {
     // Both generators carry binder-closed, par-evaluable pushed
-    // filters: the **independent-generator schedule** — the executor
-    // evaluates both sources up front and filters both relations as
-    // one work-stealing morsel batch (no barrier between the scans).
-    // `explain` shows both sides on the columnar lane.
+    // filters, but over view calls: fresh storage per evaluation, so
+    // neither side's snapshot could be cached and neither renders the
+    // columnar lane (the named-relation twin below renders both).
     assert_eq!(
         plan_par4(
             "select [Name = s.Name, Salary = e.Salary]
@@ -88,8 +87,41 @@ fn independent_generators_both_render_columnar_at_four_threads() {
         ),
         "Project [Name=s.Name, Salary=e.Salary]\n  \
          HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
-         Scan[columnar par n=4] s <- StudentView(persons) filter (s.Age > 20)\n    \
-         Build[columnar par n=4] e <- EmployeeView(persons) filter (e.Salary > 1000)"
+         Scan s <- StudentView(persons) filter (s.Age > 20)\n    \
+         Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
+    );
+}
+
+#[test]
+fn named_relation_join_renders_columnar_on_both_sides_at_four_threads() {
+    // The same shape over named relations: each side's snapshot is
+    // cached by the store, so the scan and the build each filter on
+    // the columnar lane, each on its own.
+    assert_eq!(
+        plan_par4(
+            "select [Name = s.Name, Salary = e.Salary]
+             where s <- students, e <- employees
+             with s.Age > 20 andalso s.Name = e.Name andalso e.Salary > 1000;"
+        ),
+        "Project [Name=s.Name, Salary=e.Salary]\n  \
+         HashJoin[idx build] probe(s.Name) build(e.Name)\n    \
+         Scan[columnar par n=4] s <- students filter (s.Age > 20)\n    \
+         Build[columnar par n=4] e <- employees filter (e.Salary > 1000)"
+    );
+}
+
+#[test]
+fn store_disabled_session_renders_no_columnar_marker() {
+    // With the index store off nothing caches a snapshot, so the lane
+    // never runs and explain does not advertise it, even at four
+    // threads.
+    let prev = machiavelli::store::set_store_enabled(false);
+    let text = plan_par4("select x.Name where x <- S with x.Salary > 100000;");
+    machiavelli::store::set_store_enabled(prev);
+    assert_eq!(
+        text,
+        "Project x.Name\n  \
+         Scan x <- S filter (x.Salary > 100000)"
     );
 }
 

@@ -114,3 +114,67 @@ fn row_budget_latches_even_when_charged_after_the_last_tick() {
     );
     assert!(guard.rows_used() >= 5);
 }
+
+/// Evaluate with the columnar lane live: planner, store and parallel
+/// lane on at `threads` threads, 1-row fan-out cutoff.
+fn eval_columnar(session: &mut Session, src: &str, threads: usize) -> Result<String, String> {
+    let prev_planner = set_planner_enabled(true);
+    let prev_store = machiavelli::store::set_store_enabled(true);
+    let prev_enabled = tuning::set_parallel_enabled(true);
+    let prev_threads = tuning::set_par_threads(Some(threads));
+    let prev_rows = tuning::set_par_min_rows(Some(1));
+    let out = session
+        .eval_one(src)
+        .map(|o| machiavelli::value::show_value(&o.value))
+        .map_err(|e| e.to_string());
+    tuning::set_par_min_rows(prev_rows);
+    tuning::set_par_threads(prev_threads);
+    tuning::set_parallel_enabled(prev_enabled);
+    machiavelli::store::set_store_enabled(prev_store);
+    set_planner_enabled(prev_planner);
+    out
+}
+
+/// A guard trip inside a columnar filter run is an interruption, not a
+/// runtime decline: the worker that stops on the tripped guard poisons
+/// the run, and the lane must report the trip as the query's error
+/// without also counting `columnar-runtime-decline` — inline at one
+/// thread and fanned out at two, for cancellation and for an expired
+/// deadline.
+#[test]
+fn a_guard_trip_in_the_columnar_lane_is_not_a_decline() {
+    use machiavelli::trace::{self, DeclineReason};
+    use machiavelli::value::Value;
+    let mut s = Session::new();
+    s.store_reset();
+    let rows = Value::set(
+        (0..5_000)
+            .map(|i| Value::record([("K".into(), Value::Int(i)), ("A".into(), Value::Int(i))])),
+    );
+    s.bind_external("r", rows, "{[K: int, A: int]}").unwrap();
+    let q = "select x.A where x <- r with x.K > 10 andalso x.A < 4000;";
+    let runtime_declines = || {
+        trace::session_declines()
+            .into_iter()
+            .find(|(r, _)| *r == DeclineReason::ColumnarRuntimeDecline)
+            .map_or(0, |(_, n)| n)
+    };
+    for threads in [1, 2] {
+        // Warm the cached snapshot; the lane engages.
+        s.exec_reset();
+        eval_columnar(&mut s, q, threads).unwrap();
+        assert_eq!(s.exec_stats().offloads, 1, "@ {threads} threads");
+        let cancelled = Arc::new(QueryGuard::unlimited());
+        cancelled.cancel();
+        let expired = Arc::new(QueryGuard::with_timeout(Duration::ZERO, None));
+        for (guard, want) in [
+            (cancelled, "runtime error: query cancelled"),
+            (expired, "runtime error: query deadline exceeded"),
+        ] {
+            trace::reset_session_declines();
+            let (out, _) = with_guard(guard, || eval_columnar(&mut s, q, threads));
+            assert_eq!(out.unwrap_err(), want, "@ {threads} threads");
+            assert_eq!(runtime_declines(), 0, "{want} @ {threads} threads");
+        }
+    }
+}
