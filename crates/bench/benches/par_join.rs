@@ -11,16 +11,19 @@
 //!
 //! * `seq`  — lane disabled (the `Rc`-lane planner build and probe);
 //! * `parK` — plain build keyed once on the session thread, then the
-//!   plain probe on K worker threads (the fan-out cutoff is lowered so
-//!   every size fans out); `par1` runs the same lane inline.
+//!   streaming plain probe, with K worker threads configured. The probe
+//!   runs inline at any K, so the legs check that the thread count
+//!   costs nothing, and keep ids comparable across recorded baselines.
 //!
 //! The `cached_par_probe` group measures **store-served joins**: store
 //! enabled and warm, so the build phase is gone entirely and the only
 //! difference is how the cached plain index is probed:
 //!
-//! * `cached_seq`  — the sequential probe over the cached index;
-//! * `cached_parK` — K workers probing the shared `Arc` index (probe
-//!   cutoff lowered so every size engages).
+//! * `cached_seq`  — the sequential probe over the cached index (probe
+//!   keys through the interpreter);
+//! * `cached_parK` — the plain probe (keys extracted without the
+//!   interpreter) with K worker threads configured; `cached_par1` is
+//!   the one-thread leg.
 //!
 //! Keys overlap on the top eighth of the key space with unique matches,
 //! so the output (≈ n/8 small tuples) never dominates the build/probe
@@ -124,7 +127,8 @@ fn bench_par_join(c: &mut Criterion) {
 
 /// Run the query with the store enabled (warm after the first call):
 /// `threads = None` is the sequential probe over the cached index,
-/// `Some(k)` the plain probe on k workers with a 1-row fan-out cutoff.
+/// `Some(k)` the plain probe with k worker threads configured and a
+/// 1-row plain-lane cutoff.
 fn run_cached(s: &mut Session, threads: Option<usize>) -> Value {
     let prev_on = tuning::set_parallel_enabled(threads.is_some());
     let prev_t = tuning::set_par_threads(threads);
@@ -160,7 +164,7 @@ fn bench_cached_par_probe(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cached_seq", n), &n, |b, _| {
             b.iter(|| run_cached(&mut s, None))
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             group.bench_with_input(
                 BenchmarkId::new(format!("cached_par{threads}"), n),
                 &n,

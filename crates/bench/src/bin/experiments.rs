@@ -389,7 +389,7 @@ fn main() {
         );
     }
 
-    println!("\n== E14: composed lane — cached indexes under writes + parallel probes ==");
+    println!("\n== E14: composed lane — cached indexes under writes + plain probes ==");
     {
         use machiavelli::eval::set_planner_enabled;
         use machiavelli::value::{tuning, Value};
@@ -422,9 +422,10 @@ fn main() {
             stats.builds == 1 && stats.invalidated == 0 && stats.cleared == 0 && stable,
         );
 
-        // Part B — the composed store+parallel path: a fig9-shaped join
-        // served from the warm store, probed sequentially vs by four
-        // workers, interleaved with more unrelated writes.
+        // Part B — the composed store+plain path: a fig9-shaped join
+        // served from the warm store, probed sequentially vs on the
+        // plain lane (four threads configured), interleaved with more
+        // unrelated writes.
         let n = 20_000usize;
         let rows = |offset: usize| {
             Value::set((0..n).map(|i| {
@@ -460,7 +461,7 @@ fn main() {
         s.eval_one("side := 2;").unwrap();
         let (v_par, t_par) = timed(&mut s, Some(4));
         r.check(
-            "cached sequential and cached parallel probes agree across writes",
+            "cached sequential and cached plain probes agree across writes",
             &show_value(&v_cold),
             &format!("{} / {}", show_value(&v_seq), show_value(&v_par)),
             v_seq == v_cold && v_par == v_cold,
@@ -468,7 +469,7 @@ fn main() {
         let stats = s.store_stats();
         let ps = tuning::par_stats();
         r.check(
-            "one build serves every probe; the parallel probe engaged",
+            "one build serves every probe; the plain probe engaged",
             "1 build, ≥ 2 hits, par_probes ≥ 1, 0 probe fallbacks",
             &format!(
                 "{} builds, {} hits, {} par_probes, {} fallbacks",

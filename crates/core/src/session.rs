@@ -274,8 +274,8 @@ impl Session {
     /// Describe the live cached indexes in deterministic order (sorted
     /// by fingerprint, then storage id — pinnable in golden tests),
     /// with each entry's representation: `plain` entries are
-    /// `Send + Sync` and eligible for the parallel cached probe, `rc`
-    /// entries (identity-bearing rows) probe sequentially. Behind the
+    /// `Send + Sync` and probed with plain keys, `rc` entries
+    /// (identity-bearing rows) probe sequentially. Behind the
     /// REPL's `:indexes` command.
     pub fn store_indexes(&self) -> Vec<machiavelli_store::IndexInfo> {
         machiavelli_store::with_store(|s| s.indexes())
@@ -291,9 +291,10 @@ impl Session {
     /// Set the parallel lane's worker-thread count for this session
     /// (`None` restores the default: `MACHIAVELLI_PAR_THREADS`, else
     /// the machine's `available_parallelism`). Returns the previous
-    /// override. A count of 1 keeps everything sequential. Like the
-    /// index store, the setting is scoped to the thread driving the
-    /// session.
+    /// override. It steers columnar filters and proper `hom` folds; a
+    /// count of 1 runs them inline on the session thread (plain join
+    /// probes always do). Like the index store, the setting is scoped
+    /// to the thread driving the session.
     pub fn set_par_threads(&self, n: Option<usize>) -> Option<usize> {
         machiavelli_value::tuning::set_par_threads(n)
     }
@@ -966,8 +967,8 @@ mod tests {
     fn plan_of_renders_hash_join_and_fallback() {
         let s = Session::new();
         s.store_reset();
-        // Pin one worker thread so no machine-dependent `[… par n=…]`
-        // marker appears in the rendered plans.
+        // Pin one worker thread so no machine-dependent
+        // `[columnar par n=…]` marker appears in the rendered plans.
         let prev_threads = s.set_par_threads(Some(1));
         let tree = s
             .plan_of("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;")
@@ -1000,8 +1001,8 @@ mod tests {
     fn store_stats_track_reuse_and_plan_of_flips_to_cached() {
         let mut s = Session::new();
         s.store_reset();
-        // Pin one worker thread so the warm marker is `[idx cached]`
-        // (never the machine-dependent `[idx cached, par n=…]`).
+        // Pin one worker thread so no machine-dependent
+        // `[columnar par n=…]` marker appears in the rendered plans.
         let prev_threads = s.set_par_threads(Some(1));
         s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5]};")
             .unwrap();

@@ -1,9 +1,8 @@
 //! **The morsel-driven execution scheduler**: the workspace's one
 //! worker pool, shared by the columnar filter over store-cached
-//! snapshots (`plan::physical`), the plain-keyed join probe
-//! (`plan::parallel`) and proper `hom` folds (`relational::par_hom`).
-//! At one thread every caller runs the same morsels inline on the
-//! session thread.
+//! snapshots (`plan::physical`) and proper `hom` folds
+//! (`relational::par_hom`). At one thread, or over a single morsel,
+//! every caller runs the same morsels inline on the session thread.
 //!
 //! PR 4's parallel shapes carved their input into one fixed chunk per
 //! worker, so a skewed filter — one chunk where every row matches, the
@@ -78,6 +77,13 @@ pub fn morsels_of(rows: usize, size: usize) -> Vec<Morsel> {
             end: ((i + 1) * size).min(rows),
         })
         .collect()
+}
+
+/// How many workers a run over `rows` rows at `threads` threads
+/// actually uses: at most one per morsel, so a run of a single morsel
+/// stays inline on the caller's thread (as [`run_tasks`] clamps it).
+pub fn workers(threads: usize, rows: usize) -> usize {
+    threads.clamp(1, rows.div_ceil(tuning::morsel_rows()).max(1))
 }
 
 /// What one scheduler run did: how many tasks ran, and how many of
@@ -292,6 +298,16 @@ mod tests {
         assert!(morsels_of(0, 4).is_empty());
         // A zero size clamps rather than looping forever.
         assert_eq!(morsels_of(2, 0).len(), 2);
+    }
+
+    #[test]
+    fn workers_clamp_to_the_morsel_count() {
+        let prev = tuning::set_morsel_rows(Some(4));
+        assert_eq!(workers(4, 4), 1, "one morsel runs inline");
+        assert_eq!(workers(4, 9), 3);
+        assert_eq!(workers(2, 100), 2);
+        assert_eq!(workers(4, 0), 1);
+        tuning::set_morsel_rows(prev);
     }
 
     #[test]

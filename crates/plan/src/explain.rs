@@ -8,13 +8,12 @@
 //! operator's fingerprint (the next execution will probe it),
 //! `HashJoin[idx build]` when the next execution will build one, and a
 //! bare `HashJoin` when the build table is environment-dependent and
-//! never cached. A cached index in **plain** form additionally renders
-//! the plain probe the next execution runs against it —
-//! `HashJoin[idx cached, par n=4]` — when the lane is enabled with more
-//! than one thread and the probe keys are statically eligible. The
-//! marker is a *display-level* probe by fingerprint — rendering a plan
-//! does not evaluate the source, so the store cannot be asked for the
-//! exact (storage, fingerprint) key the executor uses.
+//! never cached. The marker is a *display-level* probe by fingerprint —
+//! rendering a plan does not evaluate the source, so the store cannot
+//! be asked for the exact (storage, fingerprint) key the executor uses.
+//! Whether a join probes on the plain lane is not rendered: the probe
+//! always runs inline on the session thread, so the plan looks the
+//! same at any thread count, and `:stats` counts the lane's outcomes.
 //!
 //! A swappable join (see `physical::SwapInfo`) whose *first-generator*
 //! side holds the live cached index renders with its sides exchanged as
@@ -23,28 +22,17 @@
 //! on relation cardinalities and cannot be predicted without
 //! evaluating; it renders in the unswapped orientation.)
 //!
-//! Uncached joins whose build and probe keys are both statically
-//! covered render `HashJoin[par n=4]` (the configured worker count)
-//! when the lane is enabled with more than one thread: the build is
-//! keyed into a local plain table and probed on n workers. Like the idx
-//! marker this is display-level: whether the probe actually fans out
-//! additionally depends on the probe side clearing
-//! `MACHIAVELLI_PAR_MIN_ROWS` and every key extracting to plain data
-//! (at one thread the same lane runs inline and renders no marker).
-//!
 //! A scan or build side whose pushed filters are statically eligible
 //! for the **columnar morsel lane** (see the crate docs), over a stable
 //! source with the index store enabled, renders `Scan[columnar par n=4]`
-//! / `Build[columnar par n=4]` when the lane fans out over more than
-//! one thread (at one thread the same filter runs inline and renders no
-//! marker). Display-level again: an actual offload additionally depends
+//! / `Build[columnar par n=4]` when more than one thread is configured
+//! (at one thread the same filter runs inline and renders no marker). Display-level again: an actual offload additionally depends
 //! on the relation clearing `MACHIAVELLI_PAR_MIN_ROWS`, fitting the
 //! store's row budget, and every row extracting to plain form. Each
 //! side of a join filters on its own.
 
 use crate::analysis::{stable_source, Conjunct};
-use crate::physical::{columnar_eligible, IndexKey, ParInfo, PhysOp, PhysicalPlan};
-use machiavelli_store::IndexKind;
+use crate::physical::{columnar_eligible, IndexKey, PhysOp, PhysicalPlan};
 use machiavelli_syntax::ast::Expr;
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
@@ -71,30 +59,10 @@ fn live_threads() -> Option<usize> {
     None
 }
 
-/// The `, par n=…` suffix for a cached **plain** index with eligible
-/// probe keys: the next execution probes it on the plain lane.
-fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> String {
-    match (kind, par, live_threads()) {
-        (IndexKind::Plain, Some(_), Some(n)) => format!(", par n={n}"),
-        _ => String::new(),
-    }
-}
-
-/// The `[par n=…]` marker for an uncached join whose build and probe
-/// keys are both covered: plain build, probe on n workers.
-fn par_marker(par: &Option<ParInfo>) -> String {
-    if par.as_ref().is_some_and(|i| i.build_ok) {
-        if let Some(n) = live_threads() {
-            return format!("[par n={n}]");
-        }
-    }
-    String::new()
-}
-
 /// The `[columnar par n=…]` marker for a scan or build side whose
 /// pushed filters are statically eligible for the columnar morsel lane
 /// over a stable source, with the store enabled (the lane filters only
-/// store-cached snapshots). Display-level like the par marker: an
+/// store-cached snapshots). Display-level like the idx marker: an
 /// actual offload additionally depends on the relation clearing the
 /// row cutoff, fitting the store's budget, and every row extracting to
 /// plain form.
@@ -209,62 +177,53 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             probe_keys,
             build_keys,
             fingerprint,
-            par,
             swap,
+            ..
         } => {
             // Predict the build-side flip the executor will take at
             // open: the swapped side holds the live cached index and
             // the normal side does not. Mirrors the open-time decision
             // at display level (by fingerprint, not storage).
-            let normal_kind = fingerprint
-                .as_ref()
-                .and_then(|fp| machiavelli_store::with_store(|s| s.fingerprint_kind(fp)));
-            if normal_kind.is_none() {
-                if let Some(sw) = swap {
-                    let swapped_kind =
-                        machiavelli_store::with_store(|s| s.fingerprint_kind(&sw.fingerprint));
-                    if let (
-                        Some(kind),
-                        PhysOp::Scan {
-                            var: pvar,
-                            source: psource,
-                            filters: pfilters,
-                        },
-                    ) = (swapped_kind, input.as_ref())
-                    {
-                        // Sides exchange: the second generator streams,
-                        // the first builds (its pushed filters baked in).
-                        let _ = writeln!(
-                            out,
-                            "{pad}HashJoin[idx cached, swapped{}] probe({}) build({})",
-                            cached_par_suffix(kind, &sw.par),
-                            keys_list(build_keys),
-                            keys_list(probe_keys)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{pad}  Scan{} {var} <- {}{}",
-                            columnar_marker(filters, *var, source),
-                            expr_to_string(source),
-                            filters_suffix(filters)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{pad}  Build{} {pvar} <- {}{}",
-                            columnar_marker(pfilters, *pvar, psource),
-                            expr_to_string(psource),
-                            filters_suffix(pfilters)
-                        );
-                        return;
-                    }
-                }
+            let cached = |fp: &str| machiavelli_store::with_store(|s| s.has_fingerprint(fp));
+            let normal_cached = fingerprint.as_deref().is_some_and(cached);
+            let swapped = !normal_cached && swap.as_ref().is_some_and(|sw| cached(&sw.fingerprint));
+            if let (
+                true,
+                PhysOp::Scan {
+                    var: pvar,
+                    source: psource,
+                    filters: pfilters,
+                },
+            ) = (swapped, input.as_ref())
+            {
+                // Sides exchange: the second generator streams, the
+                // first builds (its pushed filters baked in).
+                let _ = writeln!(
+                    out,
+                    "{pad}HashJoin[idx cached, swapped] probe({}) build({})",
+                    keys_list(build_keys),
+                    keys_list(probe_keys)
+                );
+                let _ = writeln!(
+                    out,
+                    "{pad}  Scan{} {var} <- {}{}",
+                    columnar_marker(filters, *var, source),
+                    expr_to_string(source),
+                    filters_suffix(filters)
+                );
+                let _ = writeln!(
+                    out,
+                    "{pad}  Build{} {pvar} <- {}{}",
+                    columnar_marker(pfilters, *pvar, psource),
+                    expr_to_string(psource),
+                    filters_suffix(pfilters)
+                );
+                return;
             }
-            let marker = match (fingerprint, normal_kind) {
-                (Some(_), Some(kind)) => {
-                    format!("[idx cached{}]", cached_par_suffix(kind, par))
-                }
-                (Some(_), None) => "[idx build]".to_string(),
-                (None, _) => par_marker(par),
+            let marker = match (fingerprint, normal_cached) {
+                (Some(_), true) => "[idx cached]",
+                (Some(_), false) => "[idx build]",
+                (None, _) => "",
             };
             let _ = writeln!(
                 out,
@@ -299,7 +258,7 @@ mod tests {
     fn plan_text(src: &str) -> String {
         // Render against an empty store so the idx marker is
         // deterministic (`[idx build]`), and with one worker thread so
-        // no machine-dependent `[par n=…]` marker appears.
+        // no machine-dependent `[columnar par n=…]` marker appears.
         machiavelli_store::with_store(|s| s.reset());
         machiavelli_value::tuning::set_par_threads(Some(1));
         let e = parse_expr(src).unwrap();
@@ -330,8 +289,9 @@ mod tests {
     #[test]
     fn uncached_eligible_join_renders_par_marker() {
         // View-call sources construct fresh storage, so the join is
-        // never store-cached — with a multi-threaded lane it renders
-        // the par marker instead.
+        // never store-cached. Its keys are covered, so it runs on the
+        // plain lane — inline at any thread count, so even a
+        // multi-threaded lane renders no `[par n=…]` marker.
         machiavelli_store::with_store(|s| s.reset());
         let prev = machiavelli_value::tuning::set_par_threads(Some(4));
         let e = parse_expr("select (x.A, y.B) where x <- V(r), y <- W(s) with x.K = y.K").unwrap();
@@ -348,7 +308,7 @@ mod tests {
         assert_eq!(
             text,
             "Project (x.A, y.B)\n  \
-             HashJoin[par n=4] probe(x.K) build(y.K)\n    \
+             HashJoin probe(x.K) build(y.K)\n    \
              Scan x <- V(r)\n    \
              Build y <- W(s)"
         );
@@ -380,7 +340,7 @@ mod tests {
         assert_eq!(
             text,
             "Project (x.A, y.B)\n  \
-             HashJoin[par n=4] probe(x.K) build(y.K)\n    \
+             HashJoin probe(x.K) build(y.K)\n    \
              Scan x <- V(r) filter (x.A > 1)\n    \
              Build y <- W(s) filter (y.B > 2)"
         );

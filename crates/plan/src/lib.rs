@@ -90,41 +90,35 @@
 //! parallelizes, and what falls back:
 //!
 //! * **Every equi-join with covered keys runs one build and one
-//!   probe.** A hash join whose probe keys are
+//!   streaming probe.** A hash join whose probe keys are
 //!   [`parallel::par_evaluable`] under the earlier binders
 //!   (binder-closed planner-safe expressions minus `con`) carries
 //!   `PhysOp::HashJoin { par }`. Its build table is plain in one of two
 //!   ways. An **uncached** build whose keys and pushed filters are also
-//!   covered under the build binder (`build_ok`, rendered
-//!   `HashJoin[par n=…]` at more than one thread: plain build, probe on
-//!   n workers) is keyed once on the session thread by
-//!   [`parallel::safe_eval`] (a direct-dispatch safe-class evaluator,
-//!   no interpreter overhead) and [`parallel::extract_key`] into a
-//!   local `PlainIndex` ([`parallel::build_plain_index`]) — any size
-//!   qualifies. A **store-served** build is one whenever the store
-//!   re-represented its relation in plain form (`Send + Sync`; rendered
-//!   `HashJoin[idx cached, par n=…]`). Either table goes through the
-//!   same probe: the probe side's keys are extracted on the session
-//!   thread, looked up by [`parallel::probe_plain`] — over the morsel
-//!   scheduler ([`machiavelli_exec::run_tasks`]) when more than one
-//!   worker is configured and the probe side clears
-//!   [`machiavelli_value::tuning::par_min_rows`], inline otherwise —
-//!   and matches return as build-row *indices*. The original `Rc` rows
-//!   are re-bound by index on the session thread, so the yielded
+//!   covered under the build binder (`build_ok`) is keyed once on the
+//!   session thread by [`parallel::safe_eval`] (a direct-dispatch
+//!   safe-class evaluator, no interpreter overhead) and
+//!   [`parallel::extract_key`] into a local `PlainIndex`
+//!   ([`parallel::build_plain_index`]) — any size qualifies. A
+//!   **store-served** build is one whenever the store re-represented its
+//!   relation in plain form (`Send + Sync`). Either table goes through
+//!   the same probe: the join pulls one probe row at a time, extracts
+//!   its key from the row's bindings of the binders the keys mention,
+//!   looks it up, and yields the row's matches — build-row *indices*,
+//!   re-bound to the original `Rc` rows — before it pulls the next. The
 //!   binding sequence — probe-major, build groups in canonical source
-//!   order — is identical to the sequential probe, and the result
+//!   order — is identical to the sequential probe's, and the result
 //!   expression still evaluates sequentially for exactly the same
-//!   bindings in the same order. At open time the lane must be enabled
-//!   ([`machiavelli_value::tuning::parallel_enabled`]) and every key
-//!   value must extract via [`machiavelli_value::to_plain`]
-//!   (identity-bearing keys — refs, dynamics — cannot cross the lane):
-//!   a build-side decline rebuilds on the `Rc` lane, a probe-side
-//!   decline probes the plain table sequentially. Materializing a
-//!   general probe pipeline is memory-capped at
-//!   [`machiavelli_value::tuning::par_join_max_probe_rows`]; past the
-//!   cap the join reverts to the streaming sequential probe over the
-//!   drained prefix plus the live remainder. Relations with no plain
-//!   form stay on the `Rc`-lane entry, probed sequentially.
+//!   bindings in the same order. Nothing is drained and nothing fans
+//!   out: the probe runs on the session thread at any thread count,
+//!   polling the query guard every 1024 rows. At open time the lane
+//!   must be enabled ([`machiavelli_value::tuning::parallel_enabled`]).
+//!   A build-side key that does not extract via
+//!   [`machiavelli_value::to_plain`] (identity-bearing keys — refs,
+//!   dynamics — cannot be plain) rebuilds on the `Rc` lane; a probe row
+//!   whose key does not extract is keyed by the interpreter alone and
+//!   looked up in the same table. Relations with no plain form stay on
+//!   the `Rc`-lane entry, probed sequentially.
 //! * **Index-aware build-side selection**: a two-generator equi-join
 //!   over a bare first `Scan` may *swap* its build side at open time —
 //!   preferring the side that already holds a live cached index, or the
@@ -151,22 +145,22 @@
 //!   [`machiavelli_value::tuning::par_min_rows`] rows within the store's
 //!   row budget; every other scan or build filters on the interpreter.
 //!   The rows split into fixed-size **morsels**, run inline on the
-//!   session thread at one worker thread and drained by work-stealing
-//!   workers ([`machiavelli_exec::run_tasks`]) at more. `_.field op
+//!   session thread at one worker (one thread configured, or a single
+//!   morsel) and drained by work-stealing workers
+//!   ([`machiavelli_exec::run_tasks`]) at more. `_.field op
 //!   constant` conjuncts compile to per-column comparator loops;
 //!   everything else runs [`parallel::plain_eval`] per row. Only the
 //!   surviving row *indices* return; the session thread rebuilds a
 //!   canonical filterless scan from them (an ascending subset of a
-//!   canonical slice), which is exactly the shape the plain probe's
-//!   fast path keys from — so a Scan→Filter→HashJoin pipeline runs
-//!   end-to-end on the plain lanes, with only binding and the result
-//!   expression on the interpreter. Each side of a join filters on its
-//!   own. A runtime decline (a row with no plain form, a strict
+//!   canonical slice), which streams into the join above like any scan
+//!   — so a Scan→Filter→HashJoin pipeline keys plainly end to end, with
+//!   only binding and the result expression on the interpreter. Each
+//!   side of a join filters on its own. A runtime decline (a row with no plain form, a strict
 //!   conjunct evaluating non-boolean) falls back to the sequential
 //!   filter with zero behavior change — pushed filters are
 //!   planner-safe, so the sequential re-run raises the identical first
 //!   error. Rendered `Scan[columnar par n=…]` / `Build[columnar par
-//!   n=…]` when it fans out over more than one thread; outcomes counted
+//!   n=…]` when more than one thread is configured; outcomes counted
 //!   in [`machiavelli_value::tuning::exec_stats`].
 //! * **Proper `hom` applications** (the evaluator's side of the lane):
 //!   `op` one of `+`, `*`, `andalso`, `orelse` with `z` its identity,
@@ -181,10 +175,10 @@
 //!   closures — identity- or code-bearing data), any expression the
 //!   plain mini-evaluator declines, a sub-threshold `hom` or columnar
 //!   scan, a disabled lane. The fallback is exact because everything the
-//!   parallel attempt may have evaluated early (probe-side pipeline
-//!   rows, pushed filters, keys) is planner-safe — pure, total,
-//!   terminating — so re-running it sequentially reproduces the same
-//!   bindings and the same first error. Hits and fallbacks are counted
+//!   plain attempt may have evaluated (pushed filters, keys) is
+//!   planner-safe — pure, total, terminating — so re-running it
+//!   sequentially reproduces the same bindings and the same first
+//!   error. Hits and fallbacks are counted
 //!   per session ([`machiavelli_value::tuning::par_stats`], REPL
 //!   `:stats`), store-served probes separately from uncached joins.
 

@@ -1,6 +1,6 @@
-//! The **plain-data parallel lane**: a mini-evaluator over
-//! [`PlainValue`] for the planner-safe expression class, and the
-//! plain-keyed hash join built on it.
+//! The **plain-data lane**: a mini-evaluator over [`PlainValue`] for
+//! the planner-safe expression class, and the plain keying of hash
+//! joins built on it.
 //!
 //! # Why a second evaluator is sound here
 //!
@@ -22,25 +22,23 @@
 //! # The plain-keyed join
 //!
 //! Every equi-join whose keys the lane covers runs **one build and one
-//! probe**. An uncached build is keyed once on the session thread —
-//! [`safe_eval`], a direct-dispatch evaluator with none of the
-//! interpreter's environment allocation or depth accounting, then
+//! streaming probe**, both on the session thread. An uncached build is
+//! keyed once — [`safe_eval`], a direct-dispatch evaluator with none of
+//! the interpreter's environment allocation or depth accounting, then
 //! [`extract_key`] — into a local [`PlainIndex`]
 //! ([`build_plain_index`]); a store-served build is already one. The
-//! probe side is keyed the same way, and [`probe_plain`] looks the
-//! extracted keys up morsel by morsel on the work-stealing scheduler
-//! ([`machiavelli_exec::run_tasks`]) — or inline, when one thread is
-//! configured or the probe is below the fan-out cutoff.
+//! hash-join node in `physical.rs` keys each probe row the same way as
+//! it streams past and looks the key up directly; matches are build-row
+//! **indices**, re-bound to the original rows (never deep-copied).
+//! Probing never fans out: the win is keying without interpreter
+//! dispatch, and on the measured hosts extra workers never paid for
+//! their coordination (`docs/PERFORMANCE.md`).
 //!
-//! Rows themselves never cross a thread (and are never deep-copied):
-//! the result is, per probe row, the **indices** of matching build
-//! rows, which the caller re-binds on the session thread. Every
-//! failure mode — a key the safe evaluator declines, a key value that
-//! does not extract — surfaces *before* the fan-out, so the workers
-//! run infallible data plumbing only. Each such dynamic fallback is
-//! additionally reported as a typed
+//! A build that declines the keyer rebuilds on the `Rc` lane; a probe
+//! row whose key declines is keyed by the interpreter alone. Each such
+//! dynamic fallback is additionally reported as a typed
 //! `machiavelli_trace::DeclineReason` by the callers in `physical.rs`
-//! (`par-join-build-extract`, `par-probe-*` codes), so `:analyze`,
+//! (`par-join-build-extract`, `par-probe-extract`), so `:analyze`,
 //! `:stats`, and the server's `METRICS` exposition can say *why* a join
 //! stayed sequential — see `docs/OBSERVABILITY.md`.
 
@@ -515,9 +513,10 @@ pub fn extract_key(keys: &[&Expr], env: &ValueBindings<'_>) -> Option<PlainKey> 
         .map(PlainKey::Tuple)
 }
 
-/// Every this many rows a worker chunk loop polls the query guard, so
-/// cancellation and deadlines reach into a running fan-out instead of
-/// waiting for it to drain. A power of two so the gate is a mask.
+/// Every this many rows a columnar morsel loop or the plain probe's key
+/// loop polls the query guard, so cancellation and deadlines reach into
+/// a running scan or join instead of waiting for it to drain. A power
+/// of two so the gate is a mask.
 pub(crate) const CHUNK_TICK_MASK: usize = 1023;
 
 /// Context a parallel worker carries across the thread boundary: the
@@ -597,60 +596,11 @@ pub fn build_plain_index(
     Some(index)
 }
 
-/// Probe one contiguous chunk of extracted keys against a plain index.
-fn probe_chunk(index: &PlainIndex, chunk: &[PlainKey], cx: &WorkerCx) -> Vec<Vec<u32>> {
-    let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
-    for (i, k) in chunk.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
-        }
-        out.push(index.get(k).to_vec());
-    }
-    out
-}
-
-/// Probe a plain index — store-served, or an uncached join's local
-/// table — with pre-extracted keys, returning per probe row the
-/// **indices** of matching build rows in build-source order (group
-/// lists ascend by construction). With `n_threads > 1` the keys are cut
-/// into **morsels** pulled via work stealing
-/// ([`machiavelli_exec::run_tasks`]; the index is `Send + Sync` and
-/// shared by reference); at one thread the same chunk loop runs inline.
-/// Morsel results concatenate in range order, so the caller's
-/// re-binding sequence is identical to the sequential probe.
-///
-/// Infallible: every failure mode (a key that declines extraction)
-/// surfaced before the call, and denied worker spawns leave their tasks
-/// to the survivors' stealers. Two caveats the caller (`physical.rs`)
-/// owns: a worker panic — injected or real — resumes on the coordinator
-/// and must be trapped with `catch_unwind`; and under a tripped
-/// [`QueryGuard`] the loop bails early with a **truncated** result, so
-/// the caller must re-check the sticky guard after the call and error
-/// instead of using it.
-pub fn probe_plain(index: &PlainIndex, probe: &[PlainKey], n_threads: usize) -> Vec<Vec<u32>> {
-    let cx = WorkerCx::capture();
-    if n_threads <= 1 {
-        return probe_chunk(index, probe, &cx);
-    }
-    let cx = &cx;
-    let (probed, _) = machiavelli_exec::run_tasks(
-        n_threads,
-        machiavelli_exec::morsels(probe.len()),
-        || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| probe_chunk(index, &probe[m.start..m.end], cx),
-    );
-    let mut matches = Vec::with_capacity(probe.len());
-    for chunk in probed {
-        matches.extend(chunk);
-    }
-    matches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use machiavelli_syntax::parse_expr;
-    use machiavelli_value::plain::to_plain;
+    use machiavelli_value::plain::{to_plain, ColumnarRelation};
     use machiavelli_value::Value;
 
     fn plain_record(pairs: &[(&str, i64)]) -> PlainValue {
@@ -780,6 +730,12 @@ mod tests {
             .collect()
     }
 
+    /// Look every key up, as the hash-join node does one probe row at a
+    /// time.
+    fn probe(index: &PlainIndex, keys: &[PlainKey]) -> Vec<Vec<u32>> {
+        keys.iter().map(|k| index.get(k).to_vec()).collect()
+    }
+
     /// Build rows K = 1, 2, 2, 9 keyed by `x.K` into a local table.
     fn local_table() -> PlainIndex {
         let build = MSet::from_iter(
@@ -795,11 +751,8 @@ mod tests {
     #[test]
     fn plain_join_matches_expected_groups() {
         let index = local_table();
-        let probe = probe_keys(&[2, 5, 1]);
-        for threads in [1, 2, 4, 8] {
-            let m = probe_plain(&index, &probe, threads);
-            assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "threads={threads}");
-        }
+        let keys = probe_keys(&[2, 5, 1]);
+        assert_eq!(probe(&index, &keys), vec![vec![1, 2], vec![], vec![0]]);
     }
 
     #[test]
@@ -814,7 +767,7 @@ mod tests {
         }];
         let index = build_plain_index(&build, x, &filters, &[&key]).unwrap();
         let one = probe_keys(&[1]);
-        assert_eq!(probe_plain(&index, &one, 1), vec![vec![3, 5]]);
+        assert_eq!(probe(&index, &one), vec![vec![3, 5]]);
         // A strict filter evaluating non-boolean declines (the
         // sequential build raises it).
         let strict = [Conjunct {
@@ -847,11 +800,8 @@ mod tests {
         let key = parse_expr("x.K").unwrap();
         let index = build_plain_index(&empty, Symbol::intern("x"), &[], &[&key]).unwrap();
         assert!(index.is_empty());
-        assert_eq!(probe_plain(&index, &[], 4), Vec::<Vec<u32>>::new());
-        assert_eq!(
-            probe_plain(&index, &probe_keys(&[1]), 4),
-            vec![Vec::<u32>::new()]
-        );
+        assert_eq!(probe(&index, &[]), Vec::<Vec<u32>>::new());
+        assert_eq!(probe(&index, &probe_keys(&[1])), vec![Vec::<u32>::new()]);
     }
 
     #[test]
@@ -867,15 +817,8 @@ mod tests {
                 (PlainKey::One(PlainValue::Int(9)), vec![3]),
             ],
         );
-        let probe = probe_keys(&[2, 5, 1]);
-        let local = local_table();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                probe_plain(&index, &probe, threads),
-                probe_plain(&local, &probe, threads),
-                "threads={threads}"
-            );
-        }
+        let keys = probe_keys(&[2, 5, 1]);
+        assert_eq!(probe(&index, &keys), probe(&local_table(), &keys));
     }
 
     /// Run `f` with a fault config installed on this thread (workers
@@ -887,23 +830,32 @@ mod tests {
         out
     }
 
+    /// A columnar filter over the rows 0..8 at four threads and one-row
+    /// morsels, so the scheduler really asks for workers, each entering
+    /// through [`WorkerCx::enter`] like the production filter's.
+    fn filter_on_workers() -> Option<Vec<u32>> {
+        let snap = ColumnarRelation::from_set(&MSet::from_iter((0..8).map(Value::Int))).unwrap();
+        let prev = machiavelli_value::tuning::set_morsel_rows(Some(1));
+        let cx = WorkerCx::capture();
+        let (keep, _) =
+            machiavelli_exec::filter_indices(4, &snap, || cx.enter(), |_, i| Some(i % 3 == 0));
+        machiavelli_value::tuning::set_morsel_rows(prev);
+        keep
+    }
+
     #[test]
     fn injected_worker_panic_resumes_on_the_coordinator() {
         // A panic on a fan-out worker must reach the caller as a
         // catchable unwind with the original payload, so the driver in
         // `physical.rs` can turn it into a structured
         // `ExecError::WorkerPanic` instead of aborting the process.
-        let index = local_table();
-        let probe = probe_keys(&[2]);
         let cfg = FaultConfig {
             worker_panic_ppm: 1_000_000,
             seed: 11,
             ..FaultConfig::off()
         };
         let caught = with_faults(cfg, || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                probe_plain(&index, &probe, 4)
-            }))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(filter_on_workers))
         });
         let payload = caught.expect_err("worker panic must propagate");
         let msg = payload
@@ -918,24 +870,14 @@ mod tests {
 
     #[test]
     fn injected_spawn_denial_degrades_to_inline_with_identical_results() {
-        let index = local_table();
-        let probe = probe_keys(&[2, 5, 1]);
         let cfg = FaultConfig {
             spawn_fail_ppm: 1_000_000,
             seed: 5,
             ..FaultConfig::off()
         };
         machiavelli_value::faults::reset_injected_faults();
-        // One-row morsels, so the probe is several tasks and the
-        // scheduler actually asks for workers.
-        let prev = machiavelli_value::tuning::set_morsel_rows(Some(1));
-        let m = with_faults(cfg, || probe_plain(&index, &probe, 4));
-        machiavelli_value::tuning::set_morsel_rows(prev);
-        assert_eq!(
-            m,
-            vec![vec![1, 2], vec![], vec![0]],
-            "inline fallback agrees"
-        );
+        let keep = with_faults(cfg, filter_on_workers);
+        assert_eq!(keep, Some(vec![0, 3, 6]), "inline fallback agrees");
         assert!(
             machiavelli_value::faults::injected_faults().spawn_failures > 0,
             "the denial path actually ran"

@@ -29,7 +29,7 @@
 //! the enclosing environment. Groupings hold **row indices** into the
 //! relation's canonical slice; the store re-represents fully plain
 //! relations in `Send + Sync` form, which is what lets a *cached*
-//! index serve the parallel probe (see the parallel execution contract
+//! index serve the plain probe (see the parallel execution contract
 //! in the crate docs) — and a two-generator join may flip its build
 //! side toward an already-cached (or smaller) relation at open
 //! ([`SwapInfo`]). Cache consultation is invisible in the results: a
@@ -43,8 +43,8 @@
 use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
 use crate::parallel::{
-    build_plain_index, extract_key, par_evaluable, plain_binop, plain_eval, probe_plain,
-    PlainBindings, ValueBindings, WorkerCx, CHUNK_TICK_MASK,
+    build_plain_index, extract_key, par_evaluable, plain_binop, plain_eval, PlainBindings,
+    ValueBindings, WorkerCx, CHUNK_TICK_MASK,
 };
 use machiavelli_exec as exec;
 use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
@@ -52,7 +52,8 @@ use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_trace::{self as trace, DeclineReason};
-use machiavelli_value::plain::{ColumnarRelation, PlainIndex, PlainKey, PlainValue};
+use machiavelli_value::governor;
+use machiavelli_value::plain::{ColumnarRelation, PlainKey, PlainValue};
 use machiavelli_value::tuning::{
     note_offload, note_par_join, note_par_probe, par_min_rows, par_threads, parallel_enabled,
 };
@@ -81,10 +82,10 @@ pub enum ExecError<E> {
     /// non-boolean (rendered value).
     NotABool(String),
     /// The governing [`machiavelli_value::governor::QueryGuard`]
-    /// stopped the pipeline (checked after every parallel fan-out and
-    /// inside worker chunk loops). Non-generic: the guard is outside
-    /// the hook's error space.
-    Interrupted(machiavelli_value::governor::Trip),
+    /// stopped the pipeline (checked after every columnar run, inside
+    /// its morsel loops and in the plain probe's key loop).
+    /// Non-generic: the guard is outside the hook's error space.
+    Interrupted(governor::Trip),
     /// A parallel worker panicked; caught at the lane boundary and
     /// reported as an error instead of unwinding through the session.
     WorkerPanic(String),
@@ -116,7 +117,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn run_par<T, E>(f: impl FnOnce() -> T) -> Result<T, ExecError<E>> {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .map_err(|payload| ExecError::WorkerPanic(panic_message(payload.as_ref())))?;
-    if let Some(trip) = machiavelli_value::governor::check_current() {
+    if let Some(trip) = governor::check_current() {
         return Err(ExecError::Interrupted(trip));
     }
     Ok(out)
@@ -129,8 +130,8 @@ fn run_par<T, E>(f: impl FnOnce() -> T) -> Result<T, ExecError<E>> {
 /// additionally records whether the build keys and pushed filters are
 /// `par_evaluable` under the build binder — what an uncached build
 /// needs to be keyed into a local plain table. Carries the probe
-/// binders the keys actually mention, so the executor extracts only
-/// those per input row.
+/// binders the keys actually mention, so the executor reads only those
+/// from each input row's environment.
 #[derive(Debug)]
 pub struct ParInfo {
     pub probe_vars: Vec<Symbol>,
@@ -223,10 +224,8 @@ pub enum PhysOp<'a> {
         /// the crate docs): a *cached plain* build table is then probed
         /// with extracted keys; `par.build_ok` additionally keys an
         /// uncached build into a local plain table. At open time the
-        /// lane must be enabled and every key must extract to plain
-        /// data; the probe fans out over worker threads only with >1
-        /// configured and a probe side over
-        /// [`machiavelli_value::tuning::par_min_rows`].
+        /// lane must be enabled; a probe row whose key does not
+        /// extract to plain data is keyed by the interpreter instead.
         par: Option<ParInfo>,
         /// `Some` when the build side may be flipped to the first
         /// generator at open time (see [`SwapInfo`]).
@@ -977,9 +976,10 @@ fn row_passes(
 /// or it declined — a row with no plain form, or live data a conjunct
 /// cannot handle. `Ok(Some(keep))` holds the **ascending** indices of
 /// surviving rows.
-/// At one thread the morsels run inline on the session thread (no
-/// worker fail point); at more they fan out over the scheduler. Either
-/// way the loop polls the (sticky) query guard every
+/// At one worker — one thread configured, or a relation of a single
+/// morsel ([`exec::workers`]) — the morsels run inline on the session
+/// thread (no worker fail point); at more they fan out over the
+/// scheduler. Either way the loop polls the (sticky) query guard every
 /// [`CHUNK_TICK_MASK`]+1 rows; a trip poisons the run and [`run_par`]
 /// surfaces it as `Interrupted` before the result can be used — and
 /// before a poisoned run is counted as a decline.
@@ -1001,7 +1001,7 @@ fn columnar_filter<E>(
         .iter()
         .map(|c| ColPred::compile(c, var, &snap))
         .collect();
-    let threads = par_threads();
+    let threads = exec::workers(par_threads(), snap.len());
     let cx = WorkerCx::capture();
     let keep = run_par(|| {
         let (keep, _) = exec::filter_indices(
@@ -1033,9 +1033,7 @@ fn columnar_filter<E>(
 /// Open a `Scan` node, filtering on the columnar lane when it is live
 /// for this relation ([`columnar_filter`]). On success the surviving rows
 /// — an ascending subset of the canonical slice, so itself canonical —
-/// become a **filterless** scan over a fresh [`MSet`]: exactly the
-/// shape [`open_plain_probe`]'s fast path keys raw rows from, so the
-/// whole Scan→Filter→Join pipeline composes onto the lane. Any decline
+/// become a **filterless** scan over a fresh [`MSet`]. Any decline
 /// yields the ordinary filtered scan with zero behavior change.
 fn open_scan_node<'p, E>(
     var: Symbol,
@@ -1047,9 +1045,9 @@ fn open_scan_node<'p, E>(
     let keep = columnar_filter(var, filters, &items, stable_source(source))?;
     Ok(match keep {
         Some(keep) => {
-            // An inline run stayed on the session thread: its span
-            // keeps `seq`.
-            let threads = par_threads();
+            // The worker count the run used; an inline run stayed on
+            // the session thread, so its span keeps `seq`.
+            let threads = exec::workers(par_threads(), items.len());
             if threads > 1 {
                 trace::annotate_lane(trace::current_span(), trace::Lane::Columnar(threads as u32));
             }
@@ -1103,13 +1101,11 @@ fn open_scan_traced<'p, E>(
 }
 
 /// Open a hash join whose orientation is already fixed: `input` streams
-/// the probe side, `items` is the build relation. With the lane enabled
-/// and the probe keys covered (`par`), every plain table takes the one
-/// plain probe ([`open_plain_probe`]): an uncached build whose keys and
-/// filters are covered (`build_ok`) is keyed into a local plain table
-/// first, and a store-served build is one whenever its relation
-/// extracted. Everything else — and a build that declines the plain
-/// keyer — is the sequential build/probe.
+/// the probe side, `items` is the build relation. The build comes from
+/// the index store when cacheable, else from the plain keyer into a
+/// local plain table (`build_ok`), else — or on a keyer decline — from
+/// the `Rc`-lane build. With the lane enabled and the probe keys covered
+/// (`par`), any plain table is probed on the plain lane ([`PlainLane`]).
 #[allow(clippy::too_many_arguments)]
 fn open_keyed_join<'p, H: EvalHook>(
     input: Box<Node<'p>>,
@@ -1125,266 +1121,148 @@ fn open_keyed_join<'p, H: EvalHook>(
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
     let par = par.filter(|_| parallel_enabled());
-    let table = match (fingerprint, par) {
+    let rc_build =
+        |hook: &mut H| build_join_index(&items, var, filters, build_keys, stable, env, hook);
+    // The counter a plain-lane outcome lands in: `par_probes` for a
+    // store-served table, `par_joins` for an uncached join's own.
+    let (table, note): (CachedIndex, fn(bool)) = match (fingerprint, par) {
         // Cacheable build: request it from the index store (hit ⇒ the
         // whole build phase — filters and keys — is skipped; all
         // planner-safe, so unobservable).
-        (Some(fp), _) => obtain_index(
-            &items,
-            fp,
-            |hook| build_join_index(&items, var, filters, build_keys, stable, env, hook),
-            hook,
-        )?,
+        (Some(fp), _) => (obtain_index(&items, fp, rc_build, hook)?, note_par_probe),
         // Uncached plain build: key once on the session thread.
         (None, Some(info)) if info.build_ok => {
             match build_plain_index(&items, var, filters, build_keys) {
-                Some(index) => {
-                    let index = Arc::new(index);
-                    return open_plain_probe(
-                        input, items, var, probe_keys, index, info, true, hook,
-                    );
-                }
+                Some(index) => (CachedIndex::Plain(Arc::new(index)), note_par_join),
                 None => {
                     note_par_join(false);
                     trace::note_decline(DeclineReason::ParJoinBuildExtract);
-                    CachedIndex::Local(Rc::new(build_join_index(
-                        &items, var, filters, build_keys, stable, env, hook,
-                    )?))
+                    (CachedIndex::Local(Rc::new(rc_build(hook)?)), note_par_join)
                 }
             }
         }
         // Environment-dependent build: construct inline.
-        (None, _) => CachedIndex::Local(Rc::new(build_join_index(
-            &items, var, filters, build_keys, stable, env, hook,
-        )?)),
+        (None, _) => (CachedIndex::Local(Rc::new(rc_build(hook)?)), note_par_join),
     };
-    match (&table, par) {
-        (CachedIndex::Plain(index), Some(info)) => {
-            let index = index.clone();
-            open_plain_probe(input, items, var, probe_keys, index, info, false, hook)
-        }
-        _ => Ok(Node::HashJoin {
-            input,
-            var,
-            probe_keys,
-            items,
-            table,
-            cur: None,
+    let lane = match (&table, par) {
+        (CachedIndex::Plain(_), Some(info)) => Some(PlainLane {
+            vars: &info.probe_vars,
+            note,
+            fell_back: false,
+            rows: 0,
         }),
-    }
-}
-
-/// Count one plain-lane outcome: local tables (uncached joins) count as
-/// `par_joins`, store-served ones as `par_probes`.
-fn note_plain(local: bool, hit: bool) {
-    if local {
-        note_par_join(hit)
-    } else {
-        note_par_probe(hit)
-    }
-}
-
-/// Probe a plain table with extracted keys — a store-served index, or
-/// (`local`) an uncached join's freshly keyed table. Always returns a
-/// usable node: [`Node::PlainJoin`] on success, otherwise the
-/// sequential probe over the same table — with zero behavior change,
-/// since everything evaluated early (the probe pipeline's per-row
-/// expressions) is planner-safe. Draining a general probe pipeline is
-/// memory-capped ([`machiavelli_value::tuning::par_join_max_probe_rows`]).
-#[allow(clippy::too_many_arguments)]
-fn open_plain_probe<'p, H: EvalHook>(
-    mut input: Box<Node<'p>>,
-    items: MSet,
-    var: Symbol,
-    probe_keys: &'p [&'p Expr],
-    index: Arc<PlainIndex>,
-    info: &'p ParInfo,
-    local: bool,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    let seq = |input: Box<Node<'p>>, items: MSet, index: Arc<PlainIndex>| Node::HashJoin {
+        _ => None,
+    };
+    Ok(Node::HashJoin {
         input,
         var,
         probe_keys,
         items,
-        table: CachedIndex::Plain(index),
+        table,
+        lane,
         cur: None,
-    };
-    // An empty index matches nothing; the sequential node short-circuits
-    // without even pulling the input. Not a fallback — there is no probe
-    // work to do (a local table still counts: its build ran plain).
-    if index.is_empty() {
-        if local {
-            note_par_join(true);
-        }
-        return Ok(seq(input, items, index));
-    }
-    // Peel an active-trace [`Node::Traced`] wrapper so the fast-path
-    // shape match below sees exactly the node an untraced run would:
-    // lane selection must not depend on whether a trace is recording.
-    // The peeled span keeps its accounting — paths that hand the input
-    // back rewrap it, paths that drain it set the row count directly
-    // (no `next` has run yet, so the span's count starts at zero and a
-    // rewrapped remainder adds on top).
-    let mut input_sid: Option<u32> = None;
-    if let Node::Traced { sid, .. } = input.as_ref() {
-        input_sid = Some(*sid);
-        let Node::Traced { inner, .. } = *input else {
-            unreachable!()
-        };
-        input = inner;
-    }
-    let rewrap = |node: Box<Node<'p>>| match input_sid {
-        Some(sid) => Box::new(Node::Traced { sid, inner: node }),
-        None => node,
-    };
-    // Fast path for the dominant shape — the probe side is a bare,
-    // filterless `Scan` of an already-materialized relation (the
-    // two-generator equi-join). Keys extract straight off the relation
-    // slice through borrowed bindings: no per-row environment
-    // allocation, no `Env` materialization, and match envs bind lazily
-    // (only probe rows that actually matched ever get one). The keys
-    // and match lists are still per probe row, so the drain cap below
-    // bounds this path too.
-    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
-    if let Node::Scan {
-        var: svar,
-        filters: sfilters,
-        base,
-        items: pitems,
-        idx: 0,
-    } = input.as_ref()
-    {
-        if sfilters.is_empty() {
-            if pitems.len() >= max_probe {
-                note_plain(local, false);
-                trace::note_decline(DeclineReason::ParProbeDrainCap);
-                return Ok(seq(rewrap(input), items, index));
-            }
-            let keys = extract_keys(pitems.as_slice(), |row| {
-                let row_env = ValueBindings {
-                    head: Some((*svar, row)),
-                    rest: &[],
-                };
-                extract_key(probe_keys, &row_env)
-            });
-            let Some(keys) = keys else {
-                // Nothing was drained: the untouched Scan replays
-                // through the sequential probe.
-                note_plain(local, false);
-                trace::note_decline(DeclineReason::ParProbeExtract);
-                return Ok(seq(rewrap(input), items, index));
-            };
-            trace::annotate_rows(input_sid, pitems.len() as u64);
-            let probe = PlainProbe::Rows {
-                base: base.clone(),
-                var: *svar,
-                items: pitems.clone(),
-            };
-            return plain_join(var, items, &index, &keys, probe, local);
-        }
-    }
-    // Materialize the probe side (upstream per-row work is planner-safe;
-    // evaluating it before the first result row is unobservable),
-    // capped relative to the build side.
-    let mut probe_rows: Vec<Env> = Vec::new();
-    let mut drained_all = true;
-    while let Some(row) = input.next(hook)? {
-        probe_rows.push(row);
-        if probe_rows.len() >= max_probe {
-            drained_all = false;
-            break;
-        }
-    }
-    // The drain bypassed the peeled span's `next` accounting: set its
-    // yielded-row count directly (a rewrapped remainder adds on top).
-    trace::annotate_rows(input_sid, probe_rows.len() as u64);
-    if !drained_all {
-        note_plain(local, false);
-        trace::note_decline(DeclineReason::ParProbeDrainCap);
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: Some(rewrap(input)),
-        });
-        return Ok(seq(drained, items, index));
-    }
-    let keys = extract_keys(&probe_rows, |row| {
-        let bound = info
-            .probe_vars
-            .iter()
-            .map(|v| row.lookup(*v).map(|val| (*v, val)))
-            .collect::<Option<Vec<(Symbol, Value)>>>()?;
-        let row_env = ValueBindings {
-            head: None,
-            rest: &bound,
-        };
-        extract_key(probe_keys, &row_env)
-    });
-    let Some(keys) = keys else {
-        // A probe key declined extraction (identity-bearing value or an
-        // unsupported runtime shape): replay the drained rows through
-        // the sequential probe — identical bindings, identical errors.
-        note_plain(local, false);
-        trace::note_decline(DeclineReason::ParProbeExtract);
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: None,
-        });
-        return Ok(seq(drained, items, index));
-    };
-    plain_join(
-        var,
-        items,
-        &index,
-        &keys,
-        PlainProbe::Envs(probe_rows),
-        local,
-    )
-}
-
-/// Extract one probe key per row into a vector sized up front; `None`
-/// as soon as a row declines.
-fn extract_keys<T>(rows: &[T], key_of: impl Fn(&T) -> Option<PlainKey>) -> Option<Vec<PlainKey>> {
-    let mut keys = Vec::with_capacity(rows.len());
-    for row in rows {
-        keys.push(key_of(row)?);
-    }
-    Some(keys)
-}
-
-/// Run the plain probe for extracted `keys` — fanned out over the
-/// morsel scheduler when more than one worker is configured and the
-/// probe side clears [`machiavelli_value::tuning::par_min_rows`], inline
-/// otherwise — and wrap the matches in a [`Node::PlainJoin`].
-fn plain_join<'p, E>(
-    var: Symbol,
-    items: MSet,
-    index: &PlainIndex,
-    keys: &[PlainKey],
-    probe: PlainProbe,
-    local: bool,
-) -> Result<Node<'p>, ExecError<E>> {
-    let threads = if keys.len() >= par_min_rows() {
-        par_threads()
-    } else {
-        1
-    };
-    let matches = run_par(|| probe_plain(index, keys, threads))?;
-    note_plain(local, true);
-    // An inline probe ran on the session thread: its span keeps `seq`.
-    if threads > 1 {
-        trace::annotate_lane(trace::current_span(), trace::Lane::Plain(threads as u32));
-    }
-    Ok(Node::PlainJoin {
-        var,
-        rows: items,
-        probe,
-        matches,
-        cursor: (0, 0),
-        cur_env: None,
+        matches: Vec::new(),
     })
+}
+
+/// The plain lane of a [`Node::HashJoin`] over a plain table. Each probe
+/// row's key is extracted ([`extract_key`]: no interpreter dispatch)
+/// from the [`ParInfo::probe_vars`] bindings of its environment — or,
+/// for a bare scan's raw row, from the row itself — and looked up
+/// directly. A row whose key declines extraction — an identity-bearing
+/// value, a shape the safe evaluator does not cover — alone is keyed by
+/// the interpreter and looked up like the sequential probe does, so the
+/// binding sequence and any error are exactly the sequential probe's.
+///
+/// The join counts one outcome: a fallback (and one `par-probe-extract`
+/// decline) at its first declined row, otherwise a hit once its probe
+/// side is exhausted — or at once, over an empty table that never pulls
+/// its input.
+struct PlainLane<'p> {
+    vars: &'p [Symbol],
+    /// [`note_par_probe`] for a store-served table, [`note_par_join`]
+    /// for an uncached join's local one.
+    note: fn(bool),
+    fell_back: bool,
+    /// Probe rows keyed so far; paces the guard poll.
+    rows: usize,
+}
+
+impl PlainLane<'_> {
+    /// Count one probe row, polling the (sticky) query guard every
+    /// [`CHUNK_TICK_MASK`]+1 rows, starting with the first.
+    fn poll<E>(&mut self) -> Result<(), ExecError<E>> {
+        if self.rows & CHUNK_TICK_MASK == 0 {
+            if let Some(trip) = governor::check_current() {
+                return Err(ExecError::Interrupted(trip));
+            }
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Extract `row`'s probe key, or `None` (noting the join's fallback
+    /// once) when it declines. Infallible, so the hot loop carries no
+    /// error plumbing (polling is [`PlainLane::poll`]'s job).
+    fn key(&mut self, keys: &[&Expr], row: &ProbeRow<'_>) -> Option<PlainKey> {
+        let single = |v: Symbol, val: &Value| {
+            let bound = ValueBindings {
+                head: Some((v, val)),
+                rest: &[],
+            };
+            extract_key(keys, &bound)
+        };
+        let key = match (row, self.vars) {
+            (ProbeRow::Raw { var, row, .. }, _) => single(*var, row),
+            (ProbeRow::Bound(row), [v]) => row.lookup(*v).and_then(|val| single(*v, &val)),
+            (ProbeRow::Bound(row), vars) => vars
+                .iter()
+                .map(|v| row.lookup(*v).map(|val| (*v, val)))
+                .collect::<Option<Vec<_>>>()
+                .and_then(|rest| {
+                    let bound = ValueBindings {
+                        head: None,
+                        rest: &rest,
+                    };
+                    extract_key(keys, &bound)
+                }),
+        };
+        if key.is_none() && !self.fell_back {
+            self.fell_back = true;
+            (self.note)(false);
+            trace::note_decline(DeclineReason::ParProbeExtract);
+        }
+        key
+    }
+
+    /// The join is done: count a hit unless a row fell back.
+    fn finish(self) {
+        if !self.fell_back {
+            (self.note)(true);
+        }
+    }
+}
+
+/// One probe row of a [`Node::HashJoin`]: a bound environment, or a bare
+/// filterless scan's raw row on the plain lane, bound only once it
+/// matches or falls back — binding every probe row of a selective join
+/// made a cached plain probe 1.7–2.1× slower.
+enum ProbeRow<'a> {
+    Bound(Env),
+    Raw {
+        base: &'a Env,
+        var: Symbol,
+        row: &'a Value,
+    },
+}
+
+impl ProbeRow<'_> {
+    fn bind(self) -> Env {
+        match self {
+            ProbeRow::Bound(env) => env,
+            ProbeRow::Raw { base, var, row } => base.bind(var, row.clone()),
+        }
+    }
 }
 
 /// Runtime state of one operator (same shape as [`PhysOp`]).
@@ -1415,6 +1293,9 @@ enum Node<'p> {
         /// The in-flight outer binding and its source cursor.
         cur: Option<(Env, MSet, usize)>,
     },
+    /// A streaming hash join: pulls one probe row at a time, keys it,
+    /// and yields its matches before pulling the next — probe-major,
+    /// build groups in canonical source order.
     HashJoin {
         input: Box<Node<'p>>,
         var: Symbol,
@@ -1425,37 +1306,15 @@ enum Node<'p> {
         items: MSet,
         /// Build-row indices grouped by key, in source (canonical set)
         /// order — shared with the index store on a cache hit, in plain
-        /// or `Rc`-lane form.
+        /// or `Rc`-lane form, or an uncached join's local plain table.
         table: CachedIndex,
-        /// The in-flight probe binding and its match cursor.
-        cur: Option<(Env, Vec<u32>, usize)>,
-    },
-    /// A (possibly partially) drained input: the plain probe
-    /// materializes the probe side before keying it; if it then has
-    /// to fall back, the rows replay through the sequential join
-    /// unchanged (every per-row upstream expression is planner-safe, so
-    /// having evaluated them early is unobservable), followed by
-    /// whatever `rest` of the pipeline was never drained (the
-    /// probe-drain memory cap stops draining mid-stream).
-    Materialized {
-        rows: Vec<Env>,
-        idx: usize,
-        rest: Option<Box<Node<'p>>>,
-    },
-    /// A completed plain-keyed join: `matches[i]` holds the build-row
-    /// indices for probe row `i`, each list ascending (= build-source
-    /// canonical order). Yields probe-major with groups in order —
-    /// exactly the binding sequence the sequential probe produces.
-    PlainJoin {
-        var: Symbol,
-        rows: MSet,
-        probe: PlainProbe,
-        matches: Vec<Vec<u32>>,
-        cursor: (usize, usize),
-        /// The probe row currently being enumerated, bound at most once
-        /// (only rows with matches are ever bound at all on the
-        /// [`PlainProbe::Rows`] path).
-        cur_env: Option<(usize, Env)>,
+        /// `Some` while the probe keys run on the plain lane.
+        lane: Option<PlainLane<'p>>,
+        /// The in-flight probe binding and its cursor into `matches`.
+        cur: Option<(Env, usize)>,
+        /// The in-flight binding's build-row indices (one buffer,
+        /// reused across probe rows).
+        matches: Vec<u32>,
     },
     Filter {
         input: Box<Node<'p>>,
@@ -1463,21 +1322,8 @@ enum Node<'p> {
     },
     /// A span-wrapped operator, present only while a query trace is
     /// active: `next` adds the inclusive elapsed time and yielded-row
-    /// count of the inner node to span `sid`. Lanes that pattern-match
-    /// their input's shape (the plain probe fast path) peel this
-    /// wrapper first — see [`open_plain_probe`].
+    /// count of the inner node to span `sid`.
     Traced { sid: u32, inner: Box<Node<'p>> },
-}
-
-/// The probe side of a completed [`Node::PlainJoin`].
-enum PlainProbe {
-    /// Materialized probe environments, one per probe row (general
-    /// pipelines: the rows were drained through the input node).
-    Envs(Vec<Env>),
-    /// A bare filterless scan: probe row `i` is `items[i]`, and its
-    /// environment (`base` extended with the binder) is built lazily —
-    /// only for rows that actually matched.
-    Rows { base: Env, var: Symbol, items: MSet },
 }
 
 impl<'p> Node<'p> {
@@ -1777,9 +1623,11 @@ impl<'p> Node<'p> {
                 probe_keys,
                 items,
                 table,
+                lane,
                 cur,
+                matches,
             } => loop {
-                if let Some((outer, matches, idx)) = cur {
+                if let Some((outer, idx)) = cur {
                     if *idx < matches.len() {
                         let item = items.as_slice()[matches[*idx] as usize].clone();
                         *idx += 1;
@@ -1795,69 +1643,61 @@ impl<'p> Node<'p> {
                 // them is unobservable under the crate's contract (an
                 // *ill-typed* program driven straight through `eval_expr`
                 // could see a NotASet/NotABool here that `select_loop`
-                // would have raised).
-                if table.is_empty() {
-                    return Ok(None);
-                }
-                let Some(outer) = input.next(hook)? else {
+                // would have raised). On the plain lane a bare filterless
+                // scan hands over its rows raw ([`ProbeRow`]); a traced
+                // scan is wrapped, so it streams bound rows instead.
+                let row = match (lane.is_some(), input.as_mut()) {
+                    _ if table.is_empty() => None,
+                    (
+                        true,
+                        Node::Scan {
+                            var: svar,
+                            filters: [],
+                            base,
+                            items: rows,
+                            idx,
+                        },
+                    ) => rows.as_slice().get(*idx).map(|row| {
+                        *idx += 1;
+                        ProbeRow::Raw {
+                            base,
+                            var: *svar,
+                            row,
+                        }
+                    }),
+                    (_, input) => input.next(hook)?.map(ProbeRow::Bound),
+                };
+                let Some(row) = row else {
+                    if let Some(lane) = lane.take() {
+                        lane.finish();
+                    }
                     return Ok(None);
                 };
-                let key: Vec<Value> = probe_keys
-                    .iter()
-                    .map(|k| hook.eval(&outer, k))
-                    .collect::<Result<_, _>>()?;
-                let matches = table.rows_for(key);
-                if !matches.is_empty() {
-                    // Copying the index list is a small memcpy; rows
-                    // re-bind lazily above (len × O(1) `Rc` bumps).
-                    *cur = Some((outer, matches.to_vec(), 0));
+                let plain = match (lane.as_mut(), &*table) {
+                    (Some(lane), CachedIndex::Plain(index)) => {
+                        lane.poll()?;
+                        lane.key(probe_keys, &row).map(|key| index.get(&key))
+                    }
+                    _ => None,
+                };
+                let (outer, group) = match plain {
+                    Some([]) => continue,
+                    Some(group) => (row.bind(), group),
+                    None => {
+                        let outer = row.bind();
+                        let key = probe_keys
+                            .iter()
+                            .map(|k| hook.eval(&outer, k))
+                            .collect::<Result<_, _>>()?;
+                        (outer, table.rows_for(key))
+                    }
+                };
+                if !group.is_empty() {
+                    // Rows re-bind lazily above (len × O(1) `Rc` bumps).
+                    matches.clear();
+                    matches.extend_from_slice(group);
+                    *cur = Some((outer, 0));
                 }
-            },
-            Node::Materialized { rows, idx, rest } => {
-                if *idx < rows.len() {
-                    let row = rows[*idx].clone();
-                    *idx += 1;
-                    Ok(Some(row))
-                } else if let Some(rest) = rest {
-                    rest.next(hook)
-                } else {
-                    Ok(None)
-                }
-            }
-            Node::PlainJoin {
-                var,
-                rows,
-                probe,
-                matches,
-                cursor,
-                cur_env,
-            } => loop {
-                let (i, j) = *cursor;
-                if i >= matches.len() {
-                    return Ok(None);
-                }
-                let group = &matches[i];
-                if j < group.len() {
-                    *cursor = (i, j + 1);
-                    let item = rows.as_slice()[group[j] as usize].clone();
-                    let outer = match probe {
-                        PlainProbe::Envs(envs) => envs[i].clone(),
-                        PlainProbe::Rows {
-                            base,
-                            var: svar,
-                            items,
-                        } => match cur_env {
-                            Some((ci, env)) if *ci == i => env.clone(),
-                            _ => {
-                                let env = base.bind(*svar, items.as_slice()[i].clone());
-                                *cur_env = Some((i, env.clone()));
-                                env
-                            }
-                        },
-                    };
-                    return Ok(Some(outer.bind(*var, item)));
-                }
-                *cursor = (i + 1, 0);
             },
             Node::Filter { input, conjuncts } => loop {
                 let Some(env) = input.next(hook)? else {

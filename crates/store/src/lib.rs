@@ -195,11 +195,10 @@ impl CachedIndex {
 }
 
 /// Which representation a live entry holds — surfaced by
-/// [`IndexStore::fingerprint_kind`] so plan explanation can predict
-/// whether the next execution may probe in parallel.
+/// [`IndexStore::indexes`] (the REPL's `:indexes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// `Send + Sync` plain keys + row snapshot: parallel-probable.
+    /// `Send + Sync` plain keys + row snapshot: probed with plain keys.
     Plain,
     /// `Rc`-lane keys (identity-bearing rows): sequential probes only.
     Rc,
@@ -264,7 +263,7 @@ pub struct StoreStats {
 pub struct IndexInfo {
     /// The planner's rendering of the indexed key/filter expressions.
     pub fingerprint: String,
-    /// Representation: plain (parallel-probable) or `Rc`-lane.
+    /// Representation: plain (probed with plain keys) or `Rc`-lane.
     pub kind: IndexKind,
     /// Rows held by the index (after pushed filters).
     pub rows: usize,
@@ -756,22 +755,10 @@ impl IndexStore {
     /// after a rebind, a fresh build corrects the display on first
     /// execution.)
     pub fn has_fingerprint(&mut self, fingerprint: &str) -> bool {
-        self.fingerprint_kind(fingerprint).is_some()
-    }
-
-    /// The representation of the live entry with this fingerprint, if
-    /// any — the same display-level probe as
-    /// [`IndexStore::has_fingerprint`], additionally saying whether the
-    /// next execution could probe it in parallel (plain entries only).
-    pub fn fingerprint_kind(&mut self, fingerprint: &str) -> Option<IndexKind> {
         self.validate();
         self.entries
             .values()
-            .find_map(|by_fp| by_fp.get(fingerprint))
-            .map(|e| match e.index {
-                CachedIndex::Plain(_) => IndexKind::Plain,
-                CachedIndex::Local(_) => IndexKind::Rc,
-            })
+            .any(|by_fp| by_fp.contains_key(fingerprint))
     }
 
     /// Drop all entries (statistics are kept; see [`IndexStore::reset`]).
@@ -1246,7 +1233,6 @@ mod tests {
         st.reset();
         assert_eq!(st.stats(), StoreStats::default());
         assert!(!st.has_fingerprint("parity"));
-        assert_eq!(st.fingerprint_kind("parity"), None);
     }
 
     #[test]
@@ -1280,8 +1266,7 @@ mod tests {
         assert_eq!(infos[1].fingerprint, "b-parity");
         assert_eq!(infos[1].kind, IndexKind::Plain);
         assert_eq!((infos[1].rows, infos[1].groups, infos[1].hits), (4, 2, 1));
-        assert_eq!(st.fingerprint_kind("b-parity"), Some(IndexKind::Plain));
-        assert_eq!(st.fingerprint_kind("a-parity"), Some(IndexKind::Rc));
+        assert!(st.has_fingerprint("b-parity") && st.has_fingerprint("a-parity"));
     }
 
     #[test]

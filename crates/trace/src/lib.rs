@@ -106,18 +106,14 @@ pub fn now_ns() -> u64 {
 // --- spans -----------------------------------------------------------------
 
 /// The lane a physical operator actually ran on. Spans default to
-/// [`Lane::Seq`]; the executor annotates the parallel/columnar lanes as
-/// it commits to them, so a trace shows the *outcome* of lane
-/// selection, not the eligibility.
+/// [`Lane::Seq`]; the executor annotates the columnar lane when a run
+/// actually fans out, so a trace shows the *outcome* of lane selection,
+/// not the eligibility. Everything on the session thread — the plain
+/// join probe, an inline columnar run — stays [`Lane::Seq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Sequential planner pipeline (the default).
     Seq,
-    /// Plain-keyed hash-join probe — of a store-served plain index or
-    /// of an uncached join's local plain table — fanned out across `n`
-    /// workers. An inline plain probe runs on the session thread and
-    /// keeps [`Lane::Seq`].
-    Plain(u32),
     /// Columnar morsel offload across `n` workers.
     Columnar(u32),
 }
@@ -126,7 +122,6 @@ impl std::fmt::Display for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Lane::Seq => write!(f, "seq"),
-            Lane::Plain(n) => write!(f, "plain n={n}"),
             Lane::Columnar(n) => write!(f, "columnar n={n}"),
         }
     }
@@ -172,10 +167,9 @@ pub struct OpSpan {
     pub cache: Option<CacheOutcome>,
     /// Store fingerprint, when the operator has one.
     pub fingerprint: Option<String>,
-    /// Rows the operator yielded (or, for consumed inputs and build
-    /// sides, rows it contributed).
+    /// Rows the operator yielded to its parent.
     pub rows: u64,
-    /// Wall time spent inside `open` (builds, snapshots, fan-out).
+    /// Wall time spent inside `open` (builds, snapshots, columnar runs).
     pub open_ns: u64,
     /// Cumulative wall time across `next` calls, inclusive of children.
     pub next_ns: u64,
@@ -399,12 +393,6 @@ pub fn annotate_fingerprint(sid: Option<u32>, fp: impl FnOnce() -> String) {
     with_span(sid, |s| s.fingerprint = Some(fp()));
 }
 
-/// Set a span's row count outright — for inputs the executor consumes
-/// whole (a drained scan, a build side) rather than pulls through.
-pub fn annotate_rows(sid: Option<u32>, rows: u64) {
-    with_span(sid, |s| s.rows = rows);
-}
-
 // --- decline taxonomy ------------------------------------------------------
 
 /// Why an execution left its preferred lane: the engine-wide typed
@@ -430,9 +418,6 @@ pub enum DeclineReason {
     /// Plain probe (uncached or store-served table): a probe row or key
     /// declined plain extraction.
     ParProbeExtract,
-    /// Plain probe: the probe drain hit its memory cap before the input
-    /// was exhausted.
-    ParProbeDrainCap,
     /// Parallel `hom`: capture or element extraction declined (or a
     /// worker fold was poisoned).
     ParHomExtract,
@@ -447,13 +432,13 @@ pub enum DeclineReason {
     StoreOverBudget,
     /// Index store: the index held identity-bearing values and could
     /// only be kept in session-local `Rc` form (not shareable, no
-    /// parallel probes).
+    /// plain probes).
     StoreRcOnly,
 }
 
 impl DeclineReason {
     /// Number of variants (sizes the count arrays).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every variant, in stable rendering order.
     pub const ALL: [DeclineReason; DeclineReason::COUNT] = [
@@ -463,7 +448,6 @@ impl DeclineReason {
         DeclineReason::PlannerUnsafeConjunct,
         DeclineReason::ParJoinBuildExtract,
         DeclineReason::ParProbeExtract,
-        DeclineReason::ParProbeDrainCap,
         DeclineReason::ParHomExtract,
         DeclineReason::ColumnarSnapshotExtract,
         DeclineReason::ColumnarRuntimeDecline,
@@ -481,7 +465,6 @@ impl DeclineReason {
             DeclineReason::PlannerUnsafeConjunct => "planner-unsafe-conjunct",
             DeclineReason::ParJoinBuildExtract => "par-join-build-extract",
             DeclineReason::ParProbeExtract => "par-probe-extract",
-            DeclineReason::ParProbeDrainCap => "par-probe-drain-cap",
             DeclineReason::ParHomExtract => "par-hom-extract",
             DeclineReason::ColumnarSnapshotExtract => "columnar-snapshot-extract",
             DeclineReason::ColumnarRuntimeDecline => "columnar-runtime-decline",
@@ -649,7 +632,7 @@ mod tests {
             let child = open_op_with(|| "Scan".to_string());
             close_op(child, 11);
             add_next(child.unwrap(), 3, 2);
-            annotate_lane(root, Lane::Plain(4));
+            annotate_lane(root, Lane::Columnar(4));
             annotate_cache(root, CacheOutcome::Build);
             close_op(root, 23);
             end_query();
@@ -662,7 +645,7 @@ mod tests {
             assert_eq!(t.spans[1].parent, Some(0));
             assert_eq!(t.spans[1].rows, 2);
             assert_eq!(t.spans[1].next_ns, 3);
-            assert_eq!(t.spans[0].lane, Lane::Plain(4));
+            assert_eq!(t.spans[0].lane, Lane::Columnar(4));
             assert_eq!(t.spans[0].cache, Some(CacheOutcome::Build));
         });
     }

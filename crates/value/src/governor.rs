@@ -5,8 +5,9 @@
 //! optional row budget, and a cancel flag the client side can flip at
 //! any time. The guard itself never interrupts anything — evaluation is
 //! stopped *cooperatively*, at the evaluator's periodic tick
-//! (`Cx::enter` in `machiavelli-eval`) and inside the parallel lane's
-//! chunk loops, both of which call [`check_current`].
+//! (`Cx::enter` in `machiavelli-eval`), inside the columnar lane's
+//! morsel loops and in the plain join probe's key loop, all of which
+//! call [`check_current`].
 //!
 //! Trips are **sticky**: once a guard observes a cancel, a blown
 //! deadline, or an exhausted row budget it stays tripped, so a parallel

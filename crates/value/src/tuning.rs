@@ -11,14 +11,13 @@
 //! | knob | default | env |
 //! |---|---|---|
 //! | worker threads | `available_parallelism` | `MACHIAVELLI_PAR_THREADS` |
-//! | fan-out row cutoff (join probe, columnar scan, `hom`) | [`DEFAULT_PAR_MIN_ROWS`] | `MACHIAVELLI_PAR_MIN_ROWS` |
+//! | plain-lane row cutoff (columnar scan, `hom`) | [`DEFAULT_PAR_MIN_ROWS`] | `MACHIAVELLI_PAR_MIN_ROWS` |
 //! | morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
 //! | index-store row budget | [`DEFAULT_STORE_BUDGET_ROWS`] | `MACHIAVELLI_STORE_BUDGET_ROWS` |
 //! | query tracing (per-operator spans) | off | `MACHIAVELLI_TRACE` |
 //!
-//! The plain-keyed join's probe-drain cap is a constant,
-//! [`PAR_JOIN_MAX_PROBE_FACTOR`] × build rows: it bounds memory, and no
-//! measurement has ever asked for another value.
+//! The plain-keyed hash join has no knob: it streams its probe side
+//! inline on the session thread at any size and thread count.
 //!
 //! (`docs/PERFORMANCE.md` documents every knob alongside the execution
 //! contracts they gate. The tracing knob lives in `machiavelli-trace`
@@ -37,21 +36,10 @@ use std::sync::OnceLock;
 
 // --- documented defaults ---------------------------------------------------
 
-/// Below this many rows a plain-lane shape stays on one thread (or, for
-/// `hom` and the columnar scan, on the sequential interpreter path):
-/// the probe side of a plain-keyed hash join, the relation of a
-/// columnar filtered scan, and the set of a proper `hom`. Extraction
-/// plus thread coordination would swamp the per-row savings below it.
+/// Below this many rows the relation of a columnar filtered scan and
+/// the set of a proper `hom` stay on the sequential interpreter path:
+/// extraction plus scheduling would swamp the per-row savings below it.
 pub const DEFAULT_PAR_MIN_ROWS: usize = 4096;
-
-/// A plain-keyed join materializes its probe side before probing (the
-/// sequential probe streams it); to bound that memory, draining stops
-/// after `build_rows × this factor` rows and the join falls back to the
-/// streaming sequential probe over the drained prefix plus the live
-/// remainder. 64 keeps the common shapes (probe within an order of
-/// magnitude of the build) on the lane while capping pathological
-/// pipelines.
-pub const PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
 
 /// Default index-store row budget: generous for the paper-scale
 /// workloads while still bounding a long session that touches many
@@ -86,15 +74,16 @@ thread_local! {
     static EXEC_STATS: Cell<ExecStats> = const { Cell::new(ExecStats::new()) };
 }
 
-/// Worker-thread count for the parallel lane on this thread (= session):
-/// explicit override → `MACHIAVELLI_PAR_THREADS` → the machine's
-/// `available_parallelism`. Always ≥ 1; at 1 every plain-lane shape
-/// and the columnar filter run inline on the session thread.
+/// Worker-thread count for the columnar filter and proper `hom` folds
+/// on this thread (= session): explicit override →
+/// `MACHIAVELLI_PAR_THREADS` → the machine's `available_parallelism`.
+/// Always ≥ 1; at 1 both run inline on the session thread (the plain
+/// join probe runs inline at any count).
 pub fn par_threads() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
     // `available_parallelism` is a surprisingly expensive probe
     // (affinity + cgroup parsing, ~tens of µs) and this accessor sits
-    // on every join open — resolve the machine default once.
+    // on every columnar scan open — resolve the machine default once.
     static MACHINE: OnceLock<usize> = OnceLock::new();
     PAR_THREADS
         .with(Cell::get)
@@ -115,7 +104,7 @@ pub fn set_par_threads(n: Option<usize>) -> Option<usize> {
     PAR_THREADS.with(|c| c.replace(n.map(|n| n.max(1))))
 }
 
-/// The fan-out row cutoff currently in force (thread-local override →
+/// The plain-lane row cutoff currently in force (thread-local override →
 /// `MACHIAVELLI_PAR_MIN_ROWS` → [`DEFAULT_PAR_MIN_ROWS`]).
 pub fn par_min_rows() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
@@ -125,17 +114,10 @@ pub fn par_min_rows() -> usize {
         .unwrap_or(DEFAULT_PAR_MIN_ROWS)
 }
 
-/// Override the fan-out row cutoff on this thread (tests lower it to
+/// Override the plain-lane row cutoff on this thread (tests lower it to
 /// exercise the lanes on small inputs), returning the previous override.
 pub fn set_par_min_rows(n: Option<usize>) -> Option<usize> {
     PAR_MIN_ROWS.with(|c| c.replace(n))
-}
-
-/// How many probe rows a plain-keyed join may materialize for a build
-/// side of `build_rows` before it bails to the streaming sequential
-/// probe ([`PAR_JOIN_MAX_PROBE_FACTOR`]).
-pub fn par_join_max_probe_rows(build_rows: usize) -> usize {
-    build_rows.saturating_mul(PAR_JOIN_MAX_PROBE_FACTOR)
 }
 
 /// The morsel size currently in force (thread-local override →
@@ -198,12 +180,13 @@ pub fn set_store_epoch_clear(on: bool) -> bool {
 /// Cumulative plain-lane counters for this thread (= session),
 /// surfaced by `Session::par_stats` and the REPL's `:stats`.
 ///
-/// A **hit** is an execution that ran on the plain lane — inline at one
-/// worker thread, fanned out over the morsel scheduler at more. A
-/// **fallback** is an execution that passed the static gates but fell
-/// back at runtime — a value failed `to_plain` extraction (identity- or
-/// code-bearing data in a row or key), the plain mini-evaluator
-/// declined an expression, or the probe drain hit its memory cap.
+/// A **hit** is an execution that ran on the plain lane: a join whose
+/// every probe row keyed plainly, or a `hom` folded inline at one
+/// worker thread and over the morsel scheduler at more. A **fallback**
+/// is an execution that passed the static gates but fell back at
+/// runtime — a value failed `to_plain` extraction (identity- or
+/// code-bearing data in a row or key), or the plain mini-evaluator
+/// declined an expression. A join counts exactly one of the two.
 /// Executions that never reach the lane (lane disabled, shape not
 /// eligible, a `hom` below the row cutoff) are not counted at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -213,15 +196,14 @@ pub struct ParStats {
     /// table, then the plain probe.
     pub par_joins: u64,
     /// Uncached hash joins that declined at runtime: a build-side
-    /// decline rebuilds on the `Rc` lane, a probe-side decline probes
-    /// the plain table sequentially.
+    /// decline rebuilds on the `Rc` lane; on the probe side, rows whose
+    /// keys decline are keyed by the interpreter.
     pub par_join_fallbacks: u64,
     /// Hash joins whose plain probe ran against a **store-served**
     /// plain index (no build at all).
     pub par_probes: u64,
-    /// Store-served probes that fell back to the sequential probe (a
-    /// probe key declined extraction, or the probe drain hit its memory
-    /// cap).
+    /// Store-served probes where some probe row's key declined
+    /// extraction (those rows were keyed by the interpreter).
     pub par_probe_fallbacks: u64,
     /// Proper `hom` applications folded on the plain lane.
     pub par_homs: u64,

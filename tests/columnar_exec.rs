@@ -10,7 +10,9 @@
 //! * the lane filters only store-cached snapshots: view-call sources,
 //!   a disabled store and relations over the store's budget skip it
 //!   without counting anything;
-//! * at one thread the same lane runs inline, with the same offloads;
+//! * at one thread the same lane runs inline, with the same offloads,
+//!   and so does a relation of a single morsel at four threads (lane
+//!   `seq`, no worker fail point);
 //! * both sides of a join filter on the lane, each on its own;
 //! * work stealing actually occurs under a skewed many-morsel workload;
 //! * the whole pipeline composes: a columnar-filtered scan feeds the
@@ -425,4 +427,64 @@ fn snapshots_invalidate_on_rebind() {
     assert_eq!(session.exec_stats().snapshots_built, 2);
     assert_ne!(first, second, "the new row must appear");
     assert!(second.as_ref().unwrap().contains("99"), "{second:?}");
+}
+
+/// A relation of a single morsel runs the columnar filter inline even
+/// with four threads configured: the scheduler clamps the run to one
+/// worker, so the span lane stays `seq`, the morsel counters read one
+/// executed and none stolen, and the worker fail point never fires.
+#[test]
+fn a_single_morsel_columnar_run_stays_inline_at_four_threads() {
+    use machiavelli::trace::Lane;
+    use machiavelli::value::faults::{self, FaultConfig};
+    use machiavelli::value::tuning;
+    let mut session = machiavelli::Session::new();
+    session.store_reset();
+    session
+        .run("val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30], [K=4, A=40]};")
+        .unwrap();
+    let q = "select x.A where x <- r with x.K > 1;";
+    let prev_enabled = tuning::set_parallel_enabled(true);
+    let prev_threads = session.set_par_threads(Some(4));
+    let prev_rows = tuning::set_par_min_rows(Some(2));
+    let prev_morsel = tuning::set_morsel_rows(Some(tuning::DEFAULT_MORSEL_ROWS));
+    let eval = |session: &mut machiavelli::Session| {
+        session
+            .eval_one(q)
+            .map(|o| show_value(&o.value))
+            .map_err(|e| e.to_string())
+    };
+    // Warm the cached snapshot, then trace one run over it.
+    eval(&mut session).unwrap();
+    session.exec_reset();
+    let prev_trace = session.set_tracing(Some(true));
+    let traced = eval(&mut session);
+    session.set_tracing(prev_trace);
+    let traces = session.trace_events();
+    let scan = traces
+        .iter()
+        .flat_map(|t| &t.spans)
+        .find(|span| span.label.starts_with("Scan"))
+        .expect("a scan span");
+    assert_eq!(scan.lane, Lane::Seq, "{:?}", scan.label);
+    let stats = session.exec_stats();
+    assert_eq!(
+        (stats.offloads, stats.morsels_executed, stats.morsels_stolen),
+        (1, 1, 0),
+        "{stats:?}"
+    );
+    // The inline run never enters the worker fail point.
+    let prev_faults = faults::set_fault_config(Some(FaultConfig {
+        worker_panic_ppm: 1_000_000,
+        seed: 3,
+        ..FaultConfig::off()
+    }));
+    let faulted = eval(&mut session);
+    faults::set_fault_config(prev_faults);
+    tuning::set_morsel_rows(prev_morsel);
+    tuning::set_par_min_rows(prev_rows);
+    session.set_par_threads(prev_threads);
+    tuning::set_parallel_enabled(prev_enabled);
+    assert_eq!(traced.as_deref(), Ok("{20, 30, 40}"));
+    assert_eq!(faulted, traced);
 }

@@ -12,8 +12,8 @@ use machiavelli::Session;
 /// Render against a cold store so `[idx build]` markers are
 /// deterministic regardless of what ran earlier on this thread, and
 /// with a single worker thread so no machine- or env-dependent
-/// `[par n=…]` marker appears (the parallel goldens below pin the
-/// thread count explicitly instead).
+/// `[columnar par n=…]` marker appears (the parallel goldens below pin
+/// the thread count explicitly instead).
 fn plan(src: &str) -> String {
     let s = Session::new();
     s.store_reset();
@@ -56,10 +56,11 @@ fn fig9_shape_two_generator_equi_join_is_hash_join() {
 fn fig9_view_call_join_renders_the_parallel_marker_at_four_threads() {
     // The same uncached view-call join as above, with a multi-threaded
     // parallel lane: both key closures are plain-evaluable, so the
-    // next execution fans out (once the build side clears the row
-    // cutoff) — `explain` renders the configured worker count. The
-    // build side's pushed filter is par-evaluable, but a view call's
-    // snapshot could never be reused, so no columnar marker renders.
+    // next execution keys a local plain table and probes it on the
+    // plain lane — inline at any thread count, so the join renders no
+    // lane marker. The build side's pushed filter is par-evaluable, but
+    // a view call's snapshot could never be reused, so no columnar
+    // marker renders either.
     assert_eq!(
         plan_par4(
             "select [Name = s.Name, Salary = e.Salary]
@@ -67,7 +68,7 @@ fn fig9_view_call_join_renders_the_parallel_marker_at_four_threads() {
              with s.Name = e.Name andalso e.Salary > 1000;"
         ),
         "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
+         HashJoin probe(s.Name) build(e.Name)\n    \
          Scan s <- StudentView(persons)\n    \
          Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
@@ -86,7 +87,7 @@ fn independent_generators_both_render_columnar_at_four_threads() {
              with s.Age > 20 andalso s.Name = e.Name andalso e.Salary > 1000;"
         ),
         "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
+         HashJoin probe(s.Name) build(e.Name)\n    \
          Scan s <- StudentView(persons) filter (s.Age > 20)\n    \
          Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
@@ -223,10 +224,11 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
 #[test]
 fn cached_plain_index_renders_the_parallel_probe_marker() {
     // A warm, store-served join whose entry is plain (pure data rows)
-    // and whose probe key is plain-evaluable: at four threads the next
-    // execution probes the cached index in parallel — `explain` renders
-    // the composed marker. (The build side `t` is the smaller relation,
-    // so no swap interferes with the orientation.)
+    // and whose probe key is plain-evaluable: the next execution probes
+    // the cached index on the plain lane, inline at any thread count,
+    // so four threads render the same `[idx cached]` marker as one.
+    // (The build side `t` is the smaller relation, so no swap
+    // interferes with the orientation.)
     let mut s = Session::new();
     s.store_reset();
     s.set_par_threads(Some(1));
@@ -241,13 +243,12 @@ fn cached_plain_index_renders_the_parallel_probe_marker() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (x.A, y.B)\n  \
-         HashJoin[idx cached, par n=4] probe(x.K) build(y.K)\n    \
+         HashJoin[idx cached] probe(x.K) build(y.K)\n    \
          Scan x <- r\n    \
          Build y <- t"
     );
     s.set_par_threads(prev);
-    // Single-threaded the same warm plan renders the plain cached
-    // marker without the probe suffix.
+    // Single-threaded the same warm plan renders the same marker.
     let warm = s.plan_of(q).unwrap();
     assert!(warm.contains("HashJoin[idx cached] probe(x.K)"), "{warm}");
     s.set_par_threads(None);
@@ -255,8 +256,8 @@ fn cached_plain_index_renders_the_parallel_probe_marker() {
 
 #[test]
 fn swapped_cached_index_composes_with_the_parallel_probe_marker() {
-    // The swapped orientation also advertises the parallel probe when
-    // the swapped entry is plain and the (new) probe keys are eligible.
+    // The swapped orientation of a plain entry with eligible (new)
+    // probe keys renders no probe suffix at four threads either.
     let mut s = Session::new();
     s.store_reset();
     s.set_par_threads(Some(1));
@@ -271,7 +272,7 @@ fn swapped_cached_index_composes_with_the_parallel_probe_marker() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (x.A, y.B)\n  \
-         HashJoin[idx cached, swapped, par n=4] probe(y.K) build(x.K)\n    \
+         HashJoin[idx cached, swapped] probe(y.K) build(x.K)\n    \
          Scan y <- big\n    \
          Build x <- small"
     );

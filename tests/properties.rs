@@ -719,11 +719,10 @@ fn parallel_join_falls_back_on_unextractable_keys() {
     assert_eq!(show_value(&out), "{(1, 10)}");
 }
 
-/// The probe-drain memory cap: a probe pipeline much larger than the
-/// build side (here > 64× with the cutoff overridden to 1) bails to the
-/// streaming sequential probe — the drained prefix replays and the
-/// live remainder streams, with identical results and a counted
-/// fallback.
+/// A probe side much larger than the build (200 rows against 2): the
+/// probe streams, so nothing is drained or capped, and the join runs on
+/// the plain lane end to end, inline at one thread exactly as at four,
+/// agreeing with the sequential planner and `select_loop`.
 #[test]
 fn parallel_join_caps_probe_materialization() {
     let mut session = machiavelli::Session::new();
@@ -737,15 +736,86 @@ fn parallel_join_caps_probe_materialization() {
         ))
         .unwrap();
     let q = "select (x.K, y.B) where x <- many, y <- two with x.K = y.K;";
-    let seq = run_in_mode(&mut session, q, true, None);
-    // The cap bounds the inline 1-thread lane exactly like the fan-out.
+    let loop_ref = run_in_mode(&mut session, q, false, None);
+    assert_eq!(run_in_mode(&mut session, q, true, None), loop_ref);
     for threads in [4usize, 1] {
         session.par_reset();
         let par = run_in_mode(&mut session, q, true, Some(threads));
-        assert_eq!(par, seq);
+        assert_eq!(par, loop_ref, "@ {threads} threads");
         let stats = session.par_stats();
-        assert!(stats.par_join_fallbacks >= 1, "{stats:?}");
-        assert_eq!(stats.par_joins, 0, "{stats:?}");
+        assert_eq!(
+            (stats.par_joins, stats.par_join_fallbacks),
+            (1, 0),
+            "@ {threads} threads: {stats:?}"
+        );
+    }
+}
+
+/// A three-generator join whose second probe side is the first join's
+/// output, with some of those rows carrying ref-valued probe keys
+/// (`R of …`): the first join keys plainly end to end, the second keys
+/// its plain rows plainly and only the ref-carrying rows through the
+/// interpreter. Values, errors and ref identity equal `select_loop`'s
+/// at one and four threads, with exactly one fallback and one
+/// `par-probe-extract` decline (two rows decline, one join falls back).
+#[test]
+fn streaming_join_keys_ref_valued_probe_rows_through_the_interpreter() {
+    use machiavelli::trace::{self, DeclineReason};
+    let mut session = machiavelli::Session::new();
+    session
+        .run(
+            "val d = ref(7);
+             val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30], [K=4, A=40]};
+             val s = {[K=1, T=(I of 1), C=d], [K=2, T=(R of d), C=ref(2)],
+                      [K=3, T=(I of 3), C=d], [K=4, T=(R of ref(4)), C=d]};
+             val t = {[K=1, T=(I of 1), B=100], [K=3, T=(I of 3), B=300],
+                      [K=3, T=(I of 9), B=900]};",
+        )
+        .unwrap();
+    let join = "where x <- r, y <- s, z <- t \
+                with x.K = y.K andalso x.K = z.K andalso y.T = z.T;";
+    let values = format!("select (x.A, y.C, z.B) {join}");
+    // Raises at the K=3 binding, after the K=2 row has declined.
+    let error = format!("select (x.A div (z.B - 300), y.C) {join}");
+    let probe_extracts = || {
+        trace::session_declines()
+            .into_iter()
+            .find(|(r, _)| *r == DeclineReason::ParProbeExtract)
+            .map_or(0, |(_, n)| n)
+    };
+    let value_ref = run_in_mode(&mut session, &values, false, None);
+    let error_ref = run_in_mode(&mut session, &error, false, None);
+    assert!(error_ref.is_err(), "{error_ref:?}");
+    for threads in [1usize, 4] {
+        session.par_reset();
+        trace::reset_session_declines();
+        let got = run_in_mode(&mut session, &values, true, Some(threads));
+        assert_eq!(got, value_ref, "@ {threads} threads");
+        let stats = session.par_stats();
+        assert_eq!(
+            (stats.par_joins, stats.par_join_fallbacks),
+            (1, 1),
+            "@ {threads} threads: {stats:?}"
+        );
+        assert_eq!(probe_extracts(), 1, "@ {threads} threads");
+        let got = run_in_mode(&mut session, &error, true, Some(threads));
+        assert_eq!(got, error_ref, "@ {threads} threads");
+        // Identity: the result holds `d` itself, not an equal copy.
+        run_in_mode(
+            &mut session,
+            &format!("val planned = {values}"),
+            true,
+            Some(threads),
+        )
+        .unwrap();
+        for (literal, same) in [("d", "true"), ("ref(7)", "false")] {
+            let q = format!("planned = {{(10, {literal}, 100), (30, {literal}, 300)}};");
+            assert_eq!(
+                run_in_mode(&mut session, &q, false, None).as_deref(),
+                Ok(same),
+                "{literal} @ {threads} threads"
+            );
+        }
     }
 }
 

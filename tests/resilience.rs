@@ -11,8 +11,8 @@ use machiavelli::Session;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Evaluate with the parallel lane forced on (2 threads, 1-row
-/// cutoffs, store off) so eligible joins fan out to worker threads.
+/// Evaluate with the plain lane forced on (2 threads, 1-row cutoffs,
+/// store off) so eligible joins key a local plain table.
 fn eval_par(session: &mut Session, src: &str) -> Result<String, String> {
     let prev_planner = set_planner_enabled(true);
     let prev_store = machiavelli::store::set_store_enabled(false);
@@ -31,22 +31,24 @@ fn eval_par(session: &mut Session, src: &str) -> Result<String, String> {
     out
 }
 
-const SETUP: &str = "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};
-                     val probe = {[K=2], [K=3]};";
-const JOIN: &str = "select x.A where y <- probe, x <- r with x.K = y.K;";
+const SETUP: &str = "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};";
+const FILTER: &str = "select x.A where x <- r with x.K > 1;";
 
 #[test]
 fn a_panicking_parallel_worker_surfaces_as_err_not_an_abort() {
     let mut s = Session::new();
     s.run(SETUP).unwrap();
 
-    // Inject a certain panic on every fan-out worker thread.
+    // Inject a certain panic on every fan-out worker thread. One-row
+    // morsels make the three-row columnar filter three tasks, so the
+    // two-thread scheduler really runs workers.
     let prev = faults::set_fault_config(Some(FaultConfig {
         worker_panic_ppm: 1_000_000,
         seed: 21,
         ..FaultConfig::off()
     }));
-    let out = eval_par(&mut s, JOIN);
+    let prev_morsel = tuning::set_morsel_rows(Some(1));
+    let out = eval_columnar(&mut s, FILTER, 2);
     faults::set_fault_config(prev);
 
     let msg = out.expect_err("worker panic must become a structured error");
@@ -56,7 +58,8 @@ fn a_panicking_parallel_worker_surfaces_as_err_not_an_abort() {
     );
     // The panic was confined to the fan-out: the session keeps working
     // and the same query now answers correctly.
-    assert_eq!(eval_par(&mut s, JOIN).unwrap(), "{20, 30}");
+    assert_eq!(eval_columnar(&mut s, FILTER, 2).unwrap(), "{20, 30}");
+    tuning::set_morsel_rows(prev_morsel);
 }
 
 /// Run `f` with a guard installed on this thread, restoring after.
@@ -176,5 +179,45 @@ fn a_guard_trip_in_the_columnar_lane_is_not_a_decline() {
             assert_eq!(out.unwrap_err(), want, "@ {threads} threads");
             assert_eq!(runtime_declines(), 0, "{want} @ {threads} threads");
         }
+    }
+}
+
+/// A guard trip in the plain join's key loop is an interruption, not a
+/// decline: with a pre-cancelled (or expired) guard the join stops at
+/// its first probe row with the guard's error and notes no
+/// `par-probe-extract`, although its probe rows carry a ref-valued key
+/// that declines plain extraction when the query runs ungoverned.
+#[test]
+fn a_guard_trip_in_the_plain_join_is_not_a_decline() {
+    use machiavelli::trace::{self, DeclineReason};
+    let mut s = Session::new();
+    s.run(
+        "val d = ref(1);
+         val p = {[T=(I of 1), A=1], [T=(R of d), A=2]};
+         val q = {[T=(I of 1), B=10]};",
+    )
+    .unwrap();
+    let join = "select (x.A, y.B) where x <- p, y <- q with x.T = y.T;";
+    let probe_extracts = || {
+        trace::session_declines()
+            .into_iter()
+            .find(|(r, _)| *r == DeclineReason::ParProbeExtract)
+            .map_or(0, |(_, n)| n)
+    };
+    // Ungoverned, the ref row declines once and the join answers.
+    trace::reset_session_declines();
+    assert_eq!(eval_par(&mut s, join).unwrap(), "{(1, 10)}");
+    assert_eq!(probe_extracts(), 1);
+    let cancelled = Arc::new(QueryGuard::unlimited());
+    cancelled.cancel();
+    let expired = Arc::new(QueryGuard::with_timeout(Duration::ZERO, None));
+    for (guard, want) in [
+        (cancelled, "runtime error: query cancelled"),
+        (expired, "runtime error: query deadline exceeded"),
+    ] {
+        trace::reset_session_declines();
+        let (out, _) = with_guard(guard, || eval_par(&mut s, join));
+        assert_eq!(out.unwrap_err(), want);
+        assert_eq!(probe_extracts(), 0, "{want}");
     }
 }
